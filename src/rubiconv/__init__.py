@@ -52,7 +52,6 @@ from .transform import (
     RubiConvPlan,
     build_plan,
     convolve,
-    filter_grid_embed,
     forward,
     inverse,
     split_dual_real,
@@ -87,7 +86,6 @@ __all__ = [
     "dft_matrix",
     "elementwise_mul",
     "embed_filter",
-    "filter_grid_embed",
     "forward",
     "gemm",
     "inverse",

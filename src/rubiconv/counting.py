@@ -42,7 +42,9 @@ def count_ops() -> Iterator[OpCounts]:
     try:
         yield counts
     finally:
-        _ACTIVE.remove(counts)
+        # By identity: OpCounts compare by value, and a nested block's
+        # tallies can equal its parent's.
+        del _ACTIVE[next(i for i, c in enumerate(_ACTIVE) if c is counts)]
 
 
 def add_complex_muls(n: int, real_muls_each: int = 4) -> None:

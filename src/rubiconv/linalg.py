@@ -11,6 +11,8 @@ order, so callers must compare them with tolerances, never bit equality.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import counting
@@ -34,22 +36,27 @@ def dft_matrix(j: int) -> np.ndarray:
 def gemm(a: np.ndarray, b: np.ndarray, mode: str = "standard") -> np.ndarray:
     """Complex matrix product a @ b.
 
+    ``a`` is one matrix; ``b`` is one matrix or a stack of them, whose
+    leading axes broadcast as in ``np.matmul``.  Strided operands, such as
+    a transposed view, go to ``matmul`` as they are, without a copy into C
+    order.
+
     mode "standard" spends 4 real multiplications per complex product.
     mode "karatsuba" spends 3, computing each product (a+bi)(c+di) from
     p1 = ac, p2 = bd, p3 = (a+b)(c+d) as (p1 - p2) + (p3 - p1 - p2)i.
     The rewrite is applied per scalar product, batched over the whole
     matrix; it is not a recursive matrix algorithm.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("gemm expects 2-D matrices")
-    if a.shape[1] != b.shape[0]:
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or b.ndim < 2:
+        raise ValueError("gemm expects a 2-D left operand and a 2-D or stacked right operand")
+    if a.shape[1] != b.shape[-2]:
         raise ValueError(f"gemm shape mismatch: {a.shape} @ {b.shape}")
     if mode not in GEMM_MODES:
         raise ValueError(f"unknown gemm mode {mode!r}, expected one of {GEMM_MODES}")
 
-    n_products = a.shape[0] * a.shape[1] * b.shape[1]
+    n_products = a.shape[0] * a.shape[1] * b.shape[-1] * math.prod(b.shape[:-2])
     if mode == "standard":
         counting.add_complex_muls(n_products, real_muls_each=4)
         return a @ b

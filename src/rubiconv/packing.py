@@ -7,9 +7,10 @@ then padded to the next multiple of k.  The padded batch is viewed as a
 k x m_total grid in which document i owns m_i = L_i'/k whole columns, so no
 grid column ever mixes two documents.
 
-Index maps are materialized as explicit gather/scatter index arrays, not
-permutation matrices; building and applying them is linear in the number of
-mapped elements.
+Index maps are materialized as explicit index arrays in destination order,
+not permutation matrices; every map a plan holds writes each destination
+once, so applying it is a single gather.  Building and applying them is
+linear in the number of mapped elements, with no per-document Python loop.
 """
 
 from __future__ import annotations
@@ -63,15 +64,24 @@ class IndexMap:
     """Explicit pairing of flat source and flat destination indices.
 
     Entry j moves flat source element src_flat[j] to flat destination
-    dst_flat[j].  Every destination is written at most once.  Shapes are
-    recorded so a map can be applied to arrays carrying extra trailing
-    (channel) axes.
+    dst_flat[j].  Every destination is written at most once.  Entries are
+    kept in destination order, so a map that writes every destination has
+    dst_flat = 0, 1, 2, ... and applying it is one gather through src_flat.
+    Shapes are recorded so a map can be applied to arrays carrying extra
+    trailing (channel) axes.
     """
 
     src_shape: tuple[int, ...]
     dst_shape: tuple[int, ...]
     src_flat: np.ndarray
     dst_flat: np.ndarray
+
+    def __post_init__(self):
+        dst = self.dst_flat
+        if np.any(dst[1:] < dst[:-1]):
+            order = np.argsort(dst, kind="stable")
+            object.__setattr__(self, "src_flat", self.src_flat[order])
+            object.__setattr__(self, "dst_flat", dst[order])
 
     @property
     def dest_rows(self) -> np.ndarray:
@@ -86,7 +96,7 @@ class IndexMap:
         return self.dst_flat % self.dst_shape[1]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Scatter ``values`` into a zero-initialized destination array.
+        """Move ``values`` into a new destination array, zero where unwritten.
 
         Leading axes of ``values`` must equal src_shape; any trailing axes
         are carried through unchanged.
@@ -101,9 +111,18 @@ class IndexMap:
         tail = values.shape[lead:]
         src_size = int(np.prod(self.src_shape, dtype=np.int64))
         dst_size = int(np.prod(self.dst_shape, dtype=np.int64))
+        src = self.src_flat
+        if lead == 2 and not values.flags.c_contiguous and values.swapaxes(0, 1).flags.c_contiguous:
+            # A column-major grid: gather from its memory in place.
+            rows, cols = np.divmod(src, self.src_shape[1])
+            src = cols * self.src_shape[0] + rows
+            values = values.swapaxes(0, 1)
         flat = values.reshape((src_size,) + tail)
-        out = np.zeros((dst_size,) + tail, dtype=values.dtype)
-        out[self.dst_flat] = flat[self.src_flat]
+        if len(self.dst_flat) == dst_size:
+            out = flat.take(src, axis=0)
+        else:
+            out = np.zeros((dst_size,) + tail, dtype=values.dtype)
+            out[self.dst_flat] = flat[src]
         return out.reshape(self.dst_shape + tail)
 
     def inverse(self) -> "IndexMap":
@@ -112,7 +131,11 @@ class IndexMap:
         dst_size = int(np.prod(self.dst_shape, dtype=np.int64))
         if len(self.src_flat) != src_size or len(self.dst_flat) != dst_size:
             raise ValueError("inverse() requires a bijective index map")
-        return IndexMap(self.dst_shape, self.src_shape, self.dst_flat, self.src_flat)
+        # In destination order a bijective map has dst_flat = 0, 1, 2, ...,
+        # which is also the inverse's; its gather inverts the permutation.
+        src = np.empty_like(self.src_flat)
+        src[self.src_flat] = self.dst_flat
+        return IndexMap(self.dst_shape, self.src_shape, src, self.dst_flat)
 
 
 def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) -> PackedLayout:
@@ -152,6 +175,27 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
     )
 
 
+def _doc_index(counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and local index of every item when document i owns counts[i] items."""
+    counts = np.asarray(counts, dtype=np.int64)
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner), dtype=np.int64) - starts[owner]
+
+
+def _span_positions(starts: Sequence[int], counts: Sequence[int]) -> np.ndarray:
+    """Positions starts[i] + j for every j < counts[i], document by document."""
+    owner, local = _doc_index(counts)
+    return np.asarray(starts, dtype=np.int64)[owner] + local
+
+
+def _column_geometry(layout: PackedLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per grid column: first column of its document block, local index, width m_i."""
+    owner, local = _doc_index(layout.cols_per_doc)
+    first = np.asarray(layout.col_offsets, dtype=np.int64)[owner]
+    return first, local, np.asarray(layout.cols_per_doc, dtype=np.int64)[owner]
+
+
 def build_p1(layout: PackedLayout) -> IndexMap:
     """Load map: packed padded vector -> k x m_total grid.
 
@@ -159,18 +203,16 @@ def build_p1(layout: PackedLayout) -> IndexMap:
     grid[r, col_offsets[i] + c] = x[pos_offsets[i] + r * m_i + c].
     """
     m_total = layout.total_cols
-    dst = np.empty(layout.total_padded, dtype=np.int64)
-    for off_pos, off_col, m_i, padded in zip(
-        layout.pos_offsets, layout.col_offsets, layout.cols_per_doc, layout.padded_lengths
-    ):
-        t = np.arange(padded, dtype=np.int64)
-        dst[off_pos : off_pos + padded] = (t // m_i) * m_total + off_col + t % m_i
+    first, local, width = _column_geometry(layout)
+    # Document i's span starts at pos_offsets[i] = k * col_offsets[i].
+    rows = np.arange(layout.k, dtype=np.int64)[:, None]
+    src = (rows * width + layout.k * first + local).ravel()
     counting.add_built_elements(layout.total_padded)
     return IndexMap(
         src_shape=(layout.total_padded,),
         dst_shape=(layout.k, m_total),
-        src_flat=np.arange(layout.total_padded, dtype=np.int64),
-        dst_flat=dst,
+        src_flat=src,
+        dst_flat=np.arange(layout.total_padded, dtype=np.int64),
     )
 
 
@@ -186,19 +228,16 @@ def build_p2(layout: PackedLayout, valid_lengths: Sequence[int] | None = None) -
     valid = tuple(int(v) for v in valid_lengths)
     if len(valid) != layout.n_docs:
         raise ValueError("valid_lengths must give one length per document")
-    m_total = layout.total_cols
-    src_parts = []
-    for off_col, m_i, padded, n_valid in zip(
-        layout.col_offsets, layout.cols_per_doc, layout.padded_lengths, valid
-    ):
+    for n_valid, padded in zip(valid, layout.padded_lengths):
         if not 0 <= n_valid <= padded:
             raise ValueError(f"valid length {n_valid} outside [0, {padded}]")
-        t = np.arange(n_valid, dtype=np.int64)
-        src_parts.append((t % layout.k) * m_total + off_col + t // layout.k)
-    src = np.concatenate(src_parts) if src_parts else np.empty(0, dtype=np.int64)
+    # Column-major per block with whole columns is the grid's global
+    # column-major order: packed position t sits at cell (t % k, t // k).
+    t = _span_positions(layout.pos_offsets, valid)
+    src = (t % layout.k) * layout.total_cols + t // layout.k
     counting.add_built_elements(len(src))
     return IndexMap(
-        src_shape=(layout.k, m_total),
+        src_shape=(layout.k, layout.total_cols),
         dst_shape=(len(src),),
         src_flat=src,
         dst_flat=np.arange(len(src), dtype=np.int64),
@@ -215,19 +254,15 @@ def build_pre_ifft_map(layout: PackedLayout) -> IndexMap:
     accordingly, independently per document block.
     """
     m_total = layout.total_cols
-    src_parts = []
-    dst_parts = []
-    for off_col, m_i in zip(layout.col_offsets, layout.cols_per_doc):
-        u = np.arange(layout.k, dtype=np.int64)[:, None]
-        v = np.arange(m_i, dtype=np.int64)[None, :]
-        f = v * layout.k + u
-        src_parts.append((u * m_total + off_col + v).ravel())
-        dst_parts.append(((f // m_i) * m_total + off_col + f % m_i).ravel())
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
+    first, local, width = _column_geometry(layout)
+    # Destination cell (r, c) holds frequency f = r * m_i + local column.
+    f = np.arange(layout.k, dtype=np.int64)[:, None] * width + local
+    src = ((f % layout.k) * m_total + first + f // layout.k).ravel()
     counting.add_built_elements(len(src))
     shape = (layout.k, m_total)
-    return IndexMap(src_shape=shape, dst_shape=shape, src_flat=src, dst_flat=dst)
+    return IndexMap(
+        src_shape=shape, dst_shape=shape, src_flat=src, dst_flat=np.arange(len(src), dtype=np.int64)
+    )
 
 
 def segment_ids(layout: PackedLayout) -> np.ndarray:

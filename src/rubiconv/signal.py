@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .packing import _span_positions
+
 
 def _as_channels(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
@@ -27,6 +29,8 @@ class FilterBank:
         object.__setattr__(self, "taps", _as_channels(self.taps))
         if self.taps.shape[0] < 1:
             raise ValueError("a filter needs at least one tap")
+        if self.taps.shape[1] < 1:
+            raise ValueError("a filter bank needs at least one channel")
 
     @property
     def filter_len(self) -> int:
@@ -58,11 +62,11 @@ class PackedSignal:
                 f"values have {values.shape[0]} positions, layout expects "
                 f"{self.layout.total_padded}"
             )
-        for off, length, span in zip(
-            self.layout.span_offsets, self.layout.doc_lengths, self.layout.span_lengths
-        ):
-            if np.any(values[off + length : off + span]):
-                raise ValueError("padding tail of a document must be zero-filled")
+        # Every padding position of every span, gathered and tested at once.
+        starts = np.add(self.layout.span_offsets, self.layout.doc_lengths)
+        tail_lengths = np.subtract(self.layout.span_lengths, self.layout.doc_lengths)
+        if np.any(values[_span_positions(starts, tail_lengths)]):
+            raise ValueError("padding tail of a document must be zero-filled")
 
     @property
     def channels(self) -> int:

@@ -9,6 +9,18 @@ m_i-point DFT matrix.  Because the second DFT is block-diagonal over
 document column blocks, no stage ever mixes documents, and all heavy work
 is dense GEMM.
 
+The block stage runs column-major, on an (m_total, D, k) array in which
+grid column c is one contiguous row, so each document owns contiguous
+rows.  The k-point GEMM writes that layout directly: M1 is symmetric, so
+grid^T @ M1 is the transposed product.  The twiddle is applied in place,
+and each document's m_i-point DFT is one GEMM on a view of its own rows,
+with no copy in.  Its result is copied out with the channels last, into
+(m_total, k, D) memory, and the grid is handed back as a (k, m_total, D)
+view of it.  The dual-real split and the index maps read that
+column-major memory directly.  Twiddles and DFT matrices depend only on a
+document's width m_i, so the plan builds one of each per distinct width
+and documents of equal width share them.
+
 The convolution entry point packs the real input and the real filter into
 one complex tensor (batch + i * filter), transforms once, recovers both
 spectra through conjugate symmetry, multiplies point-wise on the grid,
@@ -26,11 +38,13 @@ from typing import Sequence
 import numpy as np
 
 from . import counting
-from .linalg import GEMM_MODES, dft_matrix
+from .linalg import GEMM_MODES, dft_matrix, gemm
 from .packing import (
     DEFAULT_K,
     IndexMap,
     PackedLayout,
+    _column_geometry,
+    _span_positions,
     build_layout,
     build_p1,
     build_p2,
@@ -50,14 +64,14 @@ class RubiConvPlan:
 
     layout: PackedLayout
     m1: np.ndarray  # (k, k) first-stage DFT
-    twiddle: np.ndarray  # (k, m_total), block i holds w_{L_i'}^(a*b)
-    m2_blocks: tuple[np.ndarray, ...]  # (m_i, m_i) second-stage DFTs
+    twiddle: np.ndarray  # (k, m_total) view of an (m_total, k) table; block i holds w_{L_i'}^(a*b)
+    m2_blocks: tuple[np.ndarray, ...]  # (m_i, m_i) second-stage DFTs, one array per width
     p1: IndexMap  # packed vector -> grid, row-major per block
     pre_ifft: IndexMap  # column-major -> row-major frequency reorder
     p2: IndexMap  # grid -> packed vector, truncated to original lengths
     inv_scale: np.ndarray  # (m_total,), 1 / L_i' for each column of document i
-    rev_rows: np.ndarray  # (k, m_total) per-document frequency reversal gather
-    rev_cols: np.ndarray
+    rev_cols_first: np.ndarray  # (m_total,) column holding frequency -f, for grid row 0
+    rev_cols_rest: np.ndarray  # (m_total,) the same for rows a > 0, whose row is k - a
     unload: IndexMap  # grid -> packed vector at full padded lengths
     load: IndexMap  # inverse of unload
     valid_positions: np.ndarray  # padded-buffer positions of valid outputs
@@ -70,109 +84,55 @@ class RubiConvPlan:
 def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) -> RubiConvPlan:
     """Build every structure the transform needs for one packing.
 
-    Constructed element counts are reported to the operation counter; the
-    k x k first-stage matrix is excluded since it depends only on k and is
-    shared across all layouts.
+    Each distinct document width m_i gets one twiddle table and one DFT
+    matrix, shared by all documents of that width.  Constructed element
+    counts are reported to the operation counter; the k x k first-stage
+    matrix is excluded since it depends only on k and is shared across all
+    layouts.
     """
     layout = build_layout(doc_lengths, filter_len, k)
-    m_total = layout.total_cols
 
-    twiddle = np.empty((k, m_total), dtype=np.complex128)
-    rev_rows = np.empty((k, m_total), dtype=np.int64)
-    rev_cols = np.empty((k, m_total), dtype=np.int64)
-    m2_blocks = []
-    rows = np.arange(k, dtype=np.int64)[:, None]
-    for off_col, m_i, padded in zip(
-        layout.col_offsets, layout.cols_per_doc, layout.padded_lengths
-    ):
-        cols = np.arange(m_i, dtype=np.int64)[None, :]
-        block_cols = slice(off_col, off_col + m_i)
-        twiddle[:, block_cols] = np.exp((2j * np.pi / padded) * ((rows * cols) % padded))
-        # Cell (a, b) holds frequency f = b*k + a of this document; the
-        # reversal points it at frequency (-f) mod L_i' within the block.
-        rev_rows[:, block_cols] = np.broadcast_to((-rows) % k, (k, m_i))
-        rev_cols[:, block_cols] = off_col + (-cols - (rows > 0)) % m_i
-        m2_blocks.append(dft_matrix(m_i))
+    rows = np.arange(k, dtype=np.int64)[None, :]
+    twiddles, dfts = {}, {}
+    for m_i in sorted(set(layout.cols_per_doc)):
+        padded = k * m_i
+        cols = np.arange(m_i, dtype=np.int64)[:, None]
+        twiddles[m_i] = np.exp((2j * np.pi / padded) * ((cols * rows) % padded))
+        dfts[m_i] = dft_matrix(m_i)
+    # Column-major: row c holds the twiddles of grid column c.
+    twiddle = np.concatenate([twiddles[m_i] for m_i in layout.cols_per_doc])
 
-    inv_scale = np.repeat(
-        1.0 / np.asarray(layout.padded_lengths, dtype=np.float64),
-        np.asarray(layout.cols_per_doc),
-    )
+    # Cell (a, c) holds frequency f = b*k + a of its document, b being the
+    # local column.  Frequency (-f) mod L_i' sits in row (-a) mod k, at local
+    # column (-b) mod m_i when a = 0 and m_i - 1 - b otherwise.
+    first, local, width = _column_geometry(layout)
+    rev_cols_first = first + (-local) % width
+    rev_cols_rest = first + width - 1 - local
+    inv_scale = 1.0 / (k * width).astype(np.float64)
     counting.add_built_elements(
         twiddle.size
-        + rev_rows.size
-        + rev_cols.size
-        + sum(b.size for b in m2_blocks)
+        + sum(b.size for b in dfts.values())
+        + rev_cols_first.size
+        + rev_cols_rest.size
         + inv_scale.size
     )
 
     unload = build_p2(layout, layout.padded_lengths)
-    valid_positions = np.concatenate(
-        [
-            off + np.arange(length, dtype=np.int64)
-            for off, length in zip(layout.pos_offsets, layout.doc_lengths)
-        ]
-    )
     return RubiConvPlan(
         layout=layout,
         m1=dft_matrix(k),
-        twiddle=twiddle,
-        m2_blocks=tuple(m2_blocks),
+        twiddle=twiddle.T,
+        m2_blocks=tuple(dfts[m_i] for m_i in layout.cols_per_doc),
         p1=build_p1(layout),
         pre_ifft=build_pre_ifft_map(layout),
         p2=build_p2(layout),
         inv_scale=inv_scale,
-        rev_rows=rev_rows,
-        rev_cols=rev_cols,
+        rev_cols_first=rev_cols_first,
+        rev_cols_rest=rev_cols_rest,
         unload=unload,
         load=unload.inverse(),
-        valid_positions=valid_positions,
+        valid_positions=_span_positions(layout.pos_offsets, layout.doc_lengths),
     )
-
-
-def _fold_tail(grid: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """View (k, m, *tail) as (k, m, prod(tail)); remember tail for unfolding."""
-    tail = grid.shape[2:]
-    width = int(np.prod(tail, dtype=np.int64)) if tail else 1
-    return grid.reshape(grid.shape[0], grid.shape[1], width), tail
-
-
-def _left_gemm(matrix: np.ndarray, grid: np.ndarray, mode: str) -> np.ndarray:
-    """matrix @ grid along the row axis, batched over trailing axes."""
-    folded, tail = _fold_tail(grid)
-    k, m, width = folded.shape
-    counting.add_complex_muls(
-        matrix.shape[0] * matrix.shape[1] * m * width,
-        real_muls_each=3 if mode == "karatsuba" else 4,
-    )
-    flat = folded.reshape(k, m * width)
-    if mode == "karatsuba":
-        p1 = matrix.real @ flat.real
-        p2 = matrix.imag @ flat.imag
-        p3 = (matrix.real + matrix.imag) @ (flat.real + flat.imag)
-        out = (p1 - p2) + 1j * (p3 - p1 - p2)
-    else:
-        out = matrix @ flat
-    return out.reshape((matrix.shape[0], m) + tail)
-
-
-def _right_gemm_block(block: np.ndarray, matrix: np.ndarray, mode: str) -> np.ndarray:
-    """block @ matrix along the column axis, batched over trailing axes."""
-    folded, tail = _fold_tail(block)
-    k, m, width = folded.shape
-    counting.add_complex_muls(
-        k * m * matrix.shape[1] * width,
-        real_muls_each=3 if mode == "karatsuba" else 4,
-    )
-    # tensordot contracts the column axis and appends the result axis last.
-    if mode == "karatsuba":
-        p1 = np.tensordot(folded.real, matrix.real, axes=([1], [0]))
-        p2 = np.tensordot(folded.imag, matrix.imag, axes=([1], [0]))
-        p3 = np.tensordot(folded.real + folded.imag, matrix.real + matrix.imag, axes=([1], [0]))
-        out = (p1 - p2) + 1j * (p3 - p1 - p2)
-    else:
-        out = np.tensordot(folded, matrix, axes=([1], [0]))
-    return np.moveaxis(out, -1, 1).reshape((k, matrix.shape[1]) + tail)
 
 
 def _check_mode(gemm_mode: str) -> None:
@@ -185,25 +145,39 @@ def transform_grid(plan: RubiConvPlan, grid: np.ndarray, gemm_mode: str = "stand
 
     Input cells hold document values row-major per block; output cell (a, b)
     of document i holds frequency b_local * k + a of its padded-length DFT.
+    The output is a view of column-major memory (see the module notes).
+    Input in C order, or held in (m_total, D, k) memory, is read without a
+    copy; any other layout is copied once.
     The second DFT is applied block by block, never as a dense matrix, so
     document blocks stay bit-level independent.
     """
     _check_mode(gemm_mode)
     grid = np.asarray(grid, dtype=np.complex128)
-    expected = (plan.k, plan.layout.total_cols)
-    if grid.shape[: len(expected)] != expected:
-        raise ValueError(f"grid leading shape {grid.shape} does not match {expected}")
+    k, m_total = plan.k, plan.layout.total_cols
+    if grid.shape[:2] != (k, m_total):
+        raise ValueError(f"grid leading shape {grid.shape} does not match {(k, m_total)}")
+    width = int(np.prod(grid.shape[2:], dtype=np.int64))
+    if grid.flags.c_contiguous:
+        cells = grid.reshape(k, m_total * width).T
+    else:
+        cells = np.moveaxis(grid, 0, -1).reshape(m_total * width, k)
 
-    out = _left_gemm(plan.m1, grid, gemm_mode)
+    # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major.
+    work = gemm(cells, plan.m1, gemm_mode).reshape(m_total, width, k)
     # Twiddle stage; kept as plain complex multiplication in either mode.
-    counting.add_complex_muls(out.size, real_muls_each=4)
-    out = out * plan.twiddle.reshape(plan.twiddle.shape + (1,) * (out.ndim - 2))
+    counting.add_complex_muls(work.size, real_muls_each=4)
+    work *= plan.twiddle.T[:, None, :]
+    # Each block's result is copied out with channels last, so that a grid
+    # cell's channels are contiguous for the index maps that follow.
+    out = np.empty((m_total, k, width), dtype=np.complex128)
     for off_col, m_i, block in zip(
         plan.layout.col_offsets, plan.layout.cols_per_doc, plan.m2_blocks
     ):
-        sl = slice(off_col, off_col + m_i)
-        out[:, sl] = _right_gemm_block(out[:, sl], block, gemm_mode)
-    return out
+        rows = work[off_col : off_col + m_i].reshape(m_i, width * k)
+        out[off_col : off_col + m_i] = (
+            gemm(block, rows, gemm_mode).reshape(m_i, width, k).transpose(0, 2, 1)
+        )
+    return out.swapaxes(0, 1).reshape(grid.shape)
 
 
 def forward(plan: RubiConvPlan, x: np.ndarray, gemm_mode: str = "standard") -> np.ndarray:
@@ -237,16 +211,6 @@ def inverse(plan: RubiConvPlan, y: np.ndarray, gemm_mode: str = "standard") -> n
     return plan.unload.apply(out)
 
 
-def filter_grid_embed(plan: RubiConvPlan, bank: FilterBank) -> np.ndarray:
-    """Filter taps laid out per document span, zero-padded to each L_i'.
-
-    Every document convolves against the same filter at its own transform
-    size; taps at or beyond a document's original length are dropped since
-    they cannot reach any valid causal output.
-    """
-    return embed_filter(plan.layout, bank)
-
-
 def convolve(
     plan: RubiConvPlan,
     x: PackedSignal,
@@ -276,11 +240,18 @@ def convolve(
             f"{plan.layout.filter_len}"
         )
 
+    # Each intermediate is dropped once the next stage holds its result, to
+    # keep peak memory down.
     taps_grid = embed_filter(plan.layout, bank)
     if fused:
-        packed = plan.p1.apply(x.values + 1j * taps_grid)
-        spectrum = transform_grid(plan, packed, gemm_mode)
+        packed = np.empty(x.values.shape, dtype=np.complex128)
+        packed.real = x.values
+        packed.imag = taps_grid
+        del taps_grid
+        spectrum = transform_grid(plan, plan.p1.apply(packed), gemm_mode)
+        del packed
         batch_hat, filter_hat = split_dual_real(plan, spectrum)
+        del spectrum
     else:
         batch_hat = transform_grid(
             plan, plan.p1.apply(x.values.astype(np.complex128)), gemm_mode
@@ -288,13 +259,17 @@ def convolve(
         filter_hat = transform_grid(
             plan, plan.p1.apply(taps_grid.astype(np.complex128)), gemm_mode
         )
+        del taps_grid
 
     counting.add_complex_muls(batch_hat.size, real_muls_each=4)
     product = batch_hat * filter_hat
-    product = plan.pre_ifft.apply(product)
-    out_grid = transform_grid(plan, np.conj(product), gemm_mode)
+    del batch_hat, filter_hat
+    np.conjugate(product, out=product)
+    out_grid = transform_grid(plan, plan.pre_ifft.apply(product), gemm_mode)
+    del product
     counting.add_real_muls(out_grid.size)
     time_grid = out_grid.real * plan.inv_scale[None, :, None]
+    del out_grid
 
     valid = plan.p2.apply(time_grid)
     values = np.zeros_like(x.values)
@@ -308,10 +283,19 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> tuple[np.ndarra
     Given the grid spectrum of z = b + i*f for real b and f, conjugate
     symmetry gives b_hat = (z + conj(z at -freq)) / 2 and
     f_hat = -i/2 * (z - conj(z at -freq)), where the negated-frequency
-    gather stays inside each document's column block.
+    gather stays inside each document's column block.  It runs on the
+    column-major memory that ``transform_grid`` returns: one gather of
+    grid columns per case plus a reversed slice over the rows.  Both
+    results are views of column-major memory too.
     """
-    reversed_spectrum = np.conj(spectrum[plan.rev_rows, plan.rev_cols])
-    counting.add_complex_muls(2 * spectrum.size, real_muls_each=4)
-    batch_hat = 0.5 * (spectrum + reversed_spectrum)
-    filter_hat = -0.5j * (spectrum - reversed_spectrum)
-    return batch_hat, filter_hat
+    z = np.asarray(spectrum, dtype=np.complex128).swapaxes(0, 1)
+    rev = np.empty(z.shape, dtype=np.complex128)
+    rev[:, 0] = z[plan.rev_cols_first, 0]
+    rev[:, 1:] = z[plan.rev_cols_rest, :0:-1]
+    np.conjugate(rev, out=rev)
+    counting.add_complex_muls(2 * z.size, real_muls_each=4)
+    batch_hat = z + rev
+    batch_hat *= 0.5
+    filter_hat = np.subtract(z, rev, out=rev)
+    filter_hat *= -0.5j
+    return batch_hat.swapaxes(0, 1), filter_hat.swapaxes(0, 1)

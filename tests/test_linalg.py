@@ -108,6 +108,34 @@ def test_gemm_real_multiplication_counts():
     assert karatsuba.real_muls == 3 * products
 
 
+@pytest.mark.parametrize("mode", ["standard", "karatsuba"])
+def test_gemm_strided_operands_match_contiguous(mode):
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    b = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    ref = gemm(a, np.ascontiguousarray(b.T), mode)
+    assert rel_err(gemm(a, b.T, mode), ref) <= 1e-14
+    assert rel_err(gemm(np.asfortranarray(a), b.T, mode), ref) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["standard", "karatsuba"])
+def test_gemm_stacked_right_operand(mode):
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    b = rng.standard_normal((2, 7, 4, 5)) + 1j * rng.standard_normal((2, 7, 4, 5))
+    with count_ops() as counts:
+        out = gemm(a, b, mode)
+    assert out.shape == (2, 7, 3, 5)
+    assert rel_err(out, np.matmul(a, b)) <= 1e-12
+    assert counts.complex_muls == 2 * 7 * 3 * 4 * 5
+    assert counts.real_muls == (3 if mode == "karatsuba" else 4) * counts.complex_muls
+
+
+def test_gemm_rejects_stacked_left_operand():
+    with pytest.raises(ValueError):
+        gemm(np.ones((2, 2, 2)), np.ones((2, 2)))
+
+
 def test_elementwise_zero_absorber():
     out = elementwise_mul(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]))
     assert np.array_equal(out, np.array([[0.0 + 0j, 0.0 + 0j]]))

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_doc_lengths
 from rubiconv import (
+    IndexMap,
     build_layout,
     build_p1,
     build_p2,
@@ -192,6 +193,45 @@ def test_index_maps_in_bounds_and_write_once():
             assert np.all((index_map.src_flat >= 0) & (index_map.src_flat < src_size))
             assert np.all((index_map.dst_flat >= 0) & (index_map.dst_flat < dst_size))
             assert len(np.unique(index_map.dst_flat)) == len(index_map.dst_flat)
+
+
+def scatter_reference(index_map, values):
+    """The definition of apply: out = zeros; out[dst_flat] = values[src_flat]."""
+    tail = values.shape[len(index_map.src_shape) :]
+    flat = values.reshape((-1,) + tail)
+    out = np.zeros((int(np.prod(index_map.dst_shape)),) + tail, dtype=values.dtype)
+    out[index_map.dst_flat] = flat[index_map.src_flat]
+    return out.reshape(index_map.dst_shape + tail)
+
+
+def test_apply_matches_scatter_on_random_bijections():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        size = shape[0] * shape[1]
+        src, dst = rng.permutation(size), rng.permutation(size)
+        index_map = IndexMap(shape, shape, src, dst)
+        values = rng.standard_normal(shape + (3,))
+        expected = np.zeros_like(values).reshape(size, 3)
+        expected[dst] = values.reshape(size, 3)[src]
+        assert np.array_equal(index_map.apply(values), expected.reshape(values.shape))
+        # A column-major grid holding the same values gives the same result.
+        column_major = np.ascontiguousarray(values.swapaxes(0, 1)).swapaxes(0, 1)
+        assert np.array_equal(index_map.apply(column_major), expected.reshape(values.shape))
+
+
+def test_apply_matches_scatter_on_truncating_and_partial_maps():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        lengths = random_doc_lengths(rng, max_docs=6, max_len=50)
+        layout = build_layout(lengths, filter_len=8, k=int(rng.choice([1, 2, 4])))
+        grid = rng.standard_normal((layout.k, layout.total_cols, 2))
+        p2 = build_p2(layout)
+        assert np.array_equal(p2.apply(grid), scatter_reference(p2, grid))
+        # A map that leaves destinations unwritten zero-fills them.
+        keep = rng.random(len(p2.src_flat)) < 0.5
+        partial = IndexMap(p2.src_shape, (len(p2.src_flat) + 3,), p2.src_flat[keep], p2.dst_flat[keep])
+        assert np.array_equal(partial.apply(grid), scatter_reference(partial, grid))
 
 
 def test_dest_rows_cols_cover_grid():

@@ -49,3 +49,25 @@ def test_embed_filter_caps_taps_at_document_length():
     second = embedded[layout.padded_lengths[0] :]
     assert np.array_equal(first[:2], [1.0, 2.0]) and not first[2:].any()
     assert np.array_equal(second[:4], [1.0, 2.0, 3.0, 4.0]) and not second[4:].any()
+
+
+def test_filter_bank_rejects_zero_channels():
+    with pytest.raises(ValueError):
+        FilterBank(np.zeros((3, 0)))
+
+
+def test_packed_signal_rejects_any_nonzero_padding_position():
+    layout = build_layout([3, 1, 6], filter_len=4, k=4)
+    zeros = np.zeros((layout.total_padded, 2))
+    PackedSignal(zeros, layout)
+    for off, length, span in zip(layout.pos_offsets, layout.doc_lengths, layout.padded_lengths):
+        for pos in range(off + length, off + span):
+            for bad in (1e-300, -1.0, np.nan):
+                values = zeros.copy()
+                values[pos, 1] = bad
+                with pytest.raises(ValueError):
+                    PackedSignal(values, layout)
+    values = zeros.copy()
+    for off, length in zip(layout.pos_offsets, layout.doc_lengths):
+        values[off : off + length] = 1.0
+    PackedSignal(values, layout)

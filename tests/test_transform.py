@@ -9,7 +9,7 @@ from rubiconv import (
     convolve,
     count_ops,
     dft_matrix,
-    filter_grid_embed,
+    embed_filter,
     forward,
     inverse,
     naive_dft,
@@ -47,12 +47,22 @@ def test_plan_build_is_deterministic():
     assert np.array_equal(a.m1, b.m1)
     assert np.array_equal(a.twiddle, b.twiddle)
     assert all(np.array_equal(x, y) for x, y in zip(a.m2_blocks, b.m2_blocks))
-    for field in ("p1", "pre_ifft", "p2", "unload"):
+    for field in ("p1", "pre_ifft", "p2", "unload", "load"):
         assert np.array_equal(getattr(a, field).src_flat, getattr(b, field).src_flat)
         assert np.array_equal(getattr(a, field).dst_flat, getattr(b, field).dst_flat)
     assert np.array_equal(a.inv_scale, b.inv_scale)
-    assert np.array_equal(a.rev_rows, b.rev_rows)
-    assert np.array_equal(a.rev_cols, b.rev_cols)
+    assert np.array_equal(a.rev_cols_first, b.rev_cols_first)
+    assert np.array_equal(a.rev_cols_rest, b.rev_cols_rest)
+    assert np.array_equal(a.valid_positions, b.valid_positions)
+
+
+def test_equal_width_documents_share_tables():
+    plan = build_plan([5, 60, 7, 3, 58], filter_len=4, k=16)
+    widths = plan.layout.cols_per_doc
+    assert widths[0] == widths[2] == widths[3] and widths[1] == widths[4] != widths[0]
+    assert plan.m2_blocks[0] is plan.m2_blocks[2] is plan.m2_blocks[3]
+    assert plan.m2_blocks[1] is plan.m2_blocks[4]
+    assert plan.m2_blocks[0] is not plan.m2_blocks[1]
 
 
 def test_twiddle_entries_use_padded_length_roots():
@@ -150,7 +160,7 @@ def test_inverse_round_trip():
 def test_filter_embed_zero_pads_per_document():
     plan = build_plan([3], filter_len=2, k=4)  # padded length 4
     bank = FilterBank(np.array([2.0, 5.0]))
-    assert np.array_equal(filter_grid_embed(plan, bank).ravel(), [2.0, 5.0, 0.0, 0.0])
+    assert np.array_equal(embed_filter(plan.layout, bank).ravel(), [2.0, 5.0, 0.0, 0.0])
 
 
 def test_filter_embed_truncates_to_document_length():
@@ -158,13 +168,13 @@ def test_filter_embed_truncates_to_document_length():
     # are embedded, which keeps the circular product linear.
     plan = build_plan([2], filter_len=8, k=4)  # padded length 4
     bank = FilterBank(np.arange(1.0, 9.0))
-    assert np.array_equal(filter_grid_embed(plan, bank).ravel(), [1.0, 2.0, 0.0, 0.0])
+    assert np.array_equal(embed_filter(plan.layout, bank).ravel(), [1.0, 2.0, 0.0, 0.0])
 
 
 def test_filter_embed_independent_copies_per_document():
     plan = build_plan([3, 6], filter_len=2, k=2)
     bank = FilterBank(np.array([1.0, -1.0]))
-    embedded = filter_grid_embed(plan, bank).ravel()
+    embedded = embed_filter(plan.layout, bank).ravel()
     layout = plan.layout
     for off, padded in zip(layout.pos_offsets, layout.padded_lengths):
         segment = embedded[off : off + padded]
@@ -262,6 +272,29 @@ def test_dual_real_recovery_matches_separate_transforms():
         f_ref = transform_grid(plan, plan.p1.apply(f.astype(complex)))
         assert rel_err(b_hat, b_ref) <= 1e-10
         assert rel_err(f_hat, f_ref) <= 1e-10
+
+
+def test_grid_stages_ignore_memory_layout():
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        lengths = random_doc_lengths(rng, max_docs=6, max_len=48)
+        plan = build_plan(lengths, filter_len=6, k=int(rng.choice([1, 4, 16])))
+        shape = (plan.k, plan.layout.total_cols, 3)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = transform_grid(plan, grid)
+        expected_split = split_dual_real(plan, expected)
+        # Transposed views of the same values: column-major grids with the
+        # channels last or in the middle.
+        for axes in ((1, 0, 2), (1, 2, 0)):
+            view = np.ascontiguousarray(grid.transpose(axes)).transpose(np.argsort(axes))
+            assert not view.flags.c_contiguous or plan.k == 1
+            assert np.array_equal(transform_grid(plan, view), expected)
+            spectrum = np.ascontiguousarray(expected.transpose(axes)).transpose(np.argsort(axes))
+            for got, want in zip(split_dual_real(plan, spectrum), expected_split):
+                assert np.array_equal(got, want)
+        contiguous = np.ascontiguousarray(expected)
+        for got, want in zip(split_dual_real(plan, contiguous), expected_split):
+            assert np.array_equal(got, want)
 
 
 def test_fused_matches_unfused_reference_path():
