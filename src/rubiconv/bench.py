@@ -240,13 +240,14 @@ def _analytic_count(cfg: BenchConfig, doc_lengths) -> int:
         # Three masked transforms at 3*N per stage, plus the point-wise product.
         per_channel = layout.total_padded * (9 * layout.max_log2 + 1)
         return per_channel * cfg.model_dim
-    # rubiconv / rubiconv-conv-only: two grid transforms (dual-real packing),
-    # conjugate-symmetry recovery, and the point-wise product.
+    # rubiconv / rubiconv-conv-only: a forward grid transform over D
+    # channels (dual-real packing), a paired inverse over ceil(D/2), and
+    # 3 muls per cell and channel for the conjugate-symmetry recovery and
+    # the point-wise product.
     layout = build_layout(doc_lengths, cfg.filter_len, cfg.k)
-    k, m_total = cfg.k, layout.total_cols
+    k, m_total, d = cfg.k, layout.total_cols, cfg.model_dim
     transform = k * k * m_total + k * sum(m * m for m in layout.cols_per_doc) + k * m_total
-    per_channel = 2 * transform + 3 * k * m_total
-    return per_channel * cfg.model_dim
+    return (d + (d + 1) // 2) * transform + 3 * k * m_total * d
 
 
 def run_config(cfg: BenchConfig) -> dict:

@@ -9,9 +9,11 @@ roll-and-multiply update per stage:
 Positions whose document is shorter than the current stage size carry the
 identity triple (1, 0, 0), turning the update into a no-op for documents
 that have already finished.  Padding every document to a power of two keeps
-all active butterfly partners inside the same document, so the rolls never
-leak values across boundaries.  Asymptotically optimal, but butterfly
-updates are memory-bound; the grid transform is the practical path.
+all active butterfly partners inside the same document, and a partner term
+with a zero twiddle is selected away rather than multiplied by zero, so the
+rolls never leak values, not even NaN or inf, across boundaries.
+Asymptotically optimal, but butterfly updates are memory-bound; the grid
+transform is the practical path.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import counting
-from .signal import FilterBank, PackedSignal, embed_filter
+from .packing import _span_positions
+from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,18 @@ def masked_fft_stages(y: np.ndarray, layout: CtLayout) -> Iterator[tuple[int, np
         twf = triple.twf.reshape((-1,) + shape_tail)
         twb = triple.twb.reshape((-1,) + shape_tail)
         counting.add_complex_muls(3 * state.size, real_muls_each=4)
-        state = (
-            state * tw0
-            + np.roll(state, half, axis=0) * twf
-            + np.roll(state, -half, axis=0) * twb
-        )
+        # A partner whose twiddle is zero is zeroed before the multiply: the
+        # roll may have brought in a value of another document, and 0 * NaN
+        # or 0 * inf is NaN.
+        backward = np.roll(state, half, axis=0)
+        backward[triple.twf == 0] = 0
+        backward *= twf
+        forward = np.roll(state, -half, axis=0)
+        forward[triple.twb == 0] = 0
+        forward *= twb
+        state = state * tw0
+        state += backward
+        state += forward
         yield 2 * half, state
 
 
@@ -195,17 +205,7 @@ def ct_convolve(x: PackedSignal, bank: FilterBank, layout: CtLayout) -> PackedSi
     Same contract as the grid pipeline: per document and channel, the causal
     linear convolution truncated to the original length, zero tails.
     """
-    if x.layout != layout:
-        raise ValueError("signal layout does not match the given layout")
-    if bank.channels != x.channels:
-        raise ValueError(
-            f"channel count mismatch: signal has {x.channels}, filter has {bank.channels}"
-        )
-    if bank.filter_len != layout.filter_len:
-        raise ValueError(
-            f"filter length {bank.filter_len} does not match the layout's "
-            f"{layout.filter_len}"
-        )
+    _check_convolution_args(layout, x, bank)
 
     x_hat = masked_fft(x.values.astype(np.complex128), layout)
     f_hat = masked_fft(embed_filter(layout, bank).astype(np.complex128), layout)
@@ -221,6 +221,6 @@ def ct_convolve(x: PackedSignal, bank: FilterBank, layout: CtLayout) -> PackedSi
     time_values = inv.real * scale[:, None]
 
     values = np.zeros_like(x.values)
-    for off, length in zip(layout.offsets, layout.doc_lengths):
-        values[off : off + length] = time_values[off : off + length]
-    return PackedSignal(values, layout)
+    valid = _span_positions(layout.offsets, layout.doc_lengths)
+    values[valid] = time_values[valid]
+    return PackedSignal._from_output(values, layout)

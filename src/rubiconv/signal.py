@@ -73,6 +73,19 @@ class PackedSignal:
         return self.values.shape[1]
 
     @classmethod
+    def _from_output(cls, values: np.ndarray, layout) -> "PackedSignal":
+        """Wrap a library result without the checks meant for caller input.
+
+        The convolutions build their (total_padded, channels) float64 output
+        with zero padding tails, so converting and re-checking it would only
+        cost time.
+        """
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "values", values)
+        object.__setattr__(signal, "layout", layout)
+        return signal
+
+    @classmethod
     def from_documents(cls, layout, docs: Sequence[np.ndarray]) -> "PackedSignal":
         """Pack per-document value arrays ((L_i,) or (L_i, channels)) into one buffer."""
         docs = [_as_channels(d) for d in docs]
@@ -101,6 +114,21 @@ class PackedSignal:
     def valid_values(self) -> np.ndarray:
         """Concatenated valid values, shape (sum L_i, channels)."""
         return np.concatenate(self.documents(), axis=0)
+
+
+def _check_convolution_args(layout, x: PackedSignal, bank: FilterBank) -> None:
+    """Reject a signal or a filter bank that does not fit ``layout``."""
+    if x.layout != layout:
+        raise ValueError("signal layout does not match the convolution's layout")
+    if bank.channels != x.channels:
+        raise ValueError(
+            f"channel count mismatch: signal has {x.channels}, filter has {bank.channels}"
+        )
+    if bank.filter_len != layout.filter_len:
+        raise ValueError(
+            f"filter length {bank.filter_len} does not match the layout's "
+            f"{layout.filter_len}"
+        )
 
 
 def embed_filter(layout, bank: FilterBank) -> np.ndarray:

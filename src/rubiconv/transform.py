@@ -28,6 +28,22 @@ reorders for the inverse, and reuses the forward kernel via
 ifft(x) = conj(fft(conj(x))) / n.  Truncating each document to its original
 length at the end removes the padding and leaves a strictly causal,
 boundary-respecting result.
+
+The inverse uses the outputs' realness too.  Each channel's product
+spectrum P is Hermitian within every document, so for adjacent channels
+a = 2j and b = 2j + 1 the forward kernel applied to conj(P_a) + i*conj(P_b)
+returns L_i' * (y_a + i*y_b): one complex inverse over ceil(D/2) channels
+yields all D real outputs, already in channel order when viewed as float64.
+An odd D pairs its last channel with zero.  A convolution over D channels
+therefore counts
+
+    (D + ceil(D/2)) * (k^2 m_total + k * sum(m_i^2) + k m_total) + 3 k m_total D
+
+complex multiplications: the forward transform, the paired inverse, and
+per cell and channel two for the dual-real split and one for the product.
+Paired channels share one inverse, so they share its roundoff, and a NaN or
+inf in channel 2j can reach channel 2j + 1 (and back), but only within the
+same document: no stage mixes documents.
 """
 
 from __future__ import annotations
@@ -50,7 +66,7 @@ from .packing import (
     build_p2,
     build_pre_ifft_map,
 )
-from .signal import FilterBank, PackedSignal, embed_filter
+from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,22 +239,13 @@ def convolve(
     With ``fused=True`` (default) the batch and filter share one forward
     transform via real-to-complex packing; ``fused=False`` keeps a
     two-transform reference path whose spectra come straight from separate
-    forward passes.  Both produce the causal linear convolution truncated
-    to each document's original length, re-embedded in the padded buffer
-    with zero tails.
+    forward passes.  Both run the same paired inverse, which takes adjacent
+    channels through one complex transform (see the module notes).  Both
+    produce the causal linear convolution truncated to each document's
+    original length, re-embedded in the padded buffer with zero tails.
     """
     _check_mode(gemm_mode)
-    if x.layout != plan.layout:
-        raise ValueError("signal layout does not match the plan's layout")
-    if bank.channels != x.channels:
-        raise ValueError(
-            f"channel count mismatch: signal has {x.channels}, filter has {bank.channels}"
-        )
-    if bank.filter_len != plan.layout.filter_len:
-        raise ValueError(
-            f"filter length {bank.filter_len} does not match the plan's "
-            f"{plan.layout.filter_len}"
-        )
+    _check_convolution_args(plan.layout, x, bank)
 
     # Each intermediate is dropped once the next stage holds its result, to
     # keep peak memory down.
@@ -262,19 +269,49 @@ def convolve(
         del taps_grid
 
     counting.add_complex_muls(batch_hat.size, real_muls_each=4)
-    product = batch_hat * filter_hat
+    product = np.multiply(batch_hat, filter_hat, out=batch_hat)
     del batch_hat, filter_hat
-    np.conjugate(product, out=product)
-    out_grid = transform_grid(plan, plan.pre_ifft.apply(product), gemm_mode)
-    del product
-    counting.add_real_muls(out_grid.size)
-    time_grid = out_grid.real * plan.inv_scale[None, :, None]
-    del out_grid
 
-    valid = plan.p2.apply(time_grid)
+    paired = _pair_channels(product)
+    del product
+    out_grid = transform_grid(plan, plan.pre_ifft.apply(paired), gemm_mode)
+    del paired
+
+    # The inverse gives L_i' * (y_a + i*y_b): its float64 view holds the real
+    # outputs in channel order, column-major, and is scaled in place.
+    time_cells = np.ascontiguousarray(out_grid.swapaxes(0, 1)).view(np.float64)
+    del out_grid
+    counting.add_real_muls(time_cells.size)
+    time_cells *= plan.inv_scale[:, None, None]
+
+    valid = plan.p2.apply(time_cells.swapaxes(0, 1))
+    del time_cells
     values = np.zeros_like(x.values)
-    values[plan.valid_positions] = valid
-    return PackedSignal(values, plan.layout)
+    values[plan.valid_positions] = valid[:, : x.channels]
+    return PackedSignal._from_output(values, plan.layout)
+
+
+def _pair_channels(product: np.ndarray) -> np.ndarray:
+    """Inverse input conj(P_a) + i*conj(P_b) for channels a = 2j, b = 2j + 1.
+
+    That is (a_r + b_i) + i*(b_r - a_i), built from the float64 view of the
+    product's column-major memory; an odd last channel is paired with zero,
+    giving conj(P_a).  Returns a (k, m_total, ceil(D/2)) view of
+    column-major memory.
+    """
+    channels = product.shape[2]
+    pairs = channels // 2
+    parts = np.ascontiguousarray(product.swapaxes(0, 1)).view(np.float64)
+    parts = parts.reshape(-1, channels, 2)
+    a, b = parts[:, 0 : 2 * pairs : 2], parts[:, 1 : 2 * pairs : 2]
+    paired = np.empty(product.shape[1::-1] + (channels - pairs,), dtype=np.complex128)
+    q = paired.view(np.float64).reshape(-1, channels - pairs, 2)
+    np.add(a[..., 0], b[..., 1], out=q[:, :pairs, 0])
+    np.subtract(b[..., 0], a[..., 1], out=q[:, :pairs, 1])
+    if channels % 2:
+        q[:, pairs, 0] = parts[:, -1, 0]
+        np.negative(parts[:, -1, 1], out=q[:, pairs, 1])
+    return paired.swapaxes(0, 1)
 
 
 def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,14 +321,18 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> tuple[np.ndarra
     symmetry gives b_hat = (z + conj(z at -freq)) / 2 and
     f_hat = -i/2 * (z - conj(z at -freq)), where the negated-frequency
     gather stays inside each document's column block.  It runs on the
-    column-major memory that ``transform_grid`` returns: one gather of
-    grid columns per case plus a reversed slice over the rows.  Both
-    results are views of column-major memory too.
+    column-major memory that ``transform_grid`` returns, with one gather of
+    whole cells; any other layout is copied once.  Both results are views of
+    column-major memory too.
     """
-    z = np.asarray(spectrum, dtype=np.complex128).swapaxes(0, 1)
-    rev = np.empty(z.shape, dtype=np.complex128)
-    rev[:, 0] = z[plan.rev_cols_first, 0]
-    rev[:, 1:] = z[plan.rev_cols_rest, :0:-1]
+    z = np.ascontiguousarray(np.asarray(spectrum, dtype=np.complex128).swapaxes(0, 1))
+    m_total, k = z.shape[:2]
+    # Flat cell c*k + a holds frequency f; -f sits in cell
+    # rev_cols_first[c]*k when a = 0 and rev_cols_rest[c]*k + k - a otherwise.
+    src = np.empty((m_total, k), dtype=np.int64)
+    np.multiply(plan.rev_cols_first, k, out=src[:, 0])
+    np.subtract((plan.rev_cols_rest * k + k)[:, None], np.arange(1, k), out=src[:, 1:])
+    rev = z.reshape(m_total * k, -1).take(src.ravel(), axis=0).reshape(z.shape)
     np.conjugate(rev, out=rev)
     counting.add_complex_muls(2 * z.size, real_muls_each=4)
     batch_hat = z + rev

@@ -151,6 +151,16 @@ def test_count_only_matches_counted_run(algo):
     assert counted["pad_ratio"] == analytic["pad_ratio"]
 
 
+@pytest.mark.parametrize("model_dim", [1, 3, 5])
+@pytest.mark.parametrize("algo", ["rubiconv", "rubiconv-conv-only"])
+def test_count_only_matches_counted_run_odd_model_dim(algo, model_dim):
+    # An odd channel count pairs its last channel with zero in the inverse.
+    config = dict(algo=algo, model_dim=model_dim, doclen_source="geometric:30")
+    counted = run_config(small_config(**config))
+    analytic = run_config(small_config(**config, count_only=True))
+    assert counted["complex_muls"] == analytic["complex_muls"]
+
+
 def test_pad_ratio_bounds():
     # Grid padding over the causality-padded total: at most 1 + k*n/L_total
     # for the grid transform, at most 2 for the power-of-two variant.

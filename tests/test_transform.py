@@ -342,3 +342,64 @@ def test_packed_signal_rejects_nonzero_tail():
     values = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
     with pytest.raises(ValueError):
         PackedSignal(values, plan.layout)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3, 5])
+def test_paired_inverse_matches_oracle_for_any_channel_count(channels):
+    # Odd channel counts pair their last channel with zero.
+    rng = np.random.default_rng(16)
+    for _ in range(4):
+        lengths = random_doc_lengths(rng, max_docs=6, max_len=80)
+        filter_len = int(rng.choice([1, 7, 64]))
+        plan = build_plan(lengths, filter_len, k=int(rng.choice([1, 4, 16])))
+        sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
+        bank = FilterBank(rng.standard_normal((filter_len, channels)))
+        ref = oracle_matrix(lengths, sig.valid_values(), bank.taps)
+        for fused in (True, False):
+            out = convolve(plan, sig, bank, fused=fused)
+            assert out.values.shape == sig.values.shape
+            assert rel_err(out.valid_values(), ref) <= 1e-8
+
+
+def test_paired_channels_keep_their_own_accuracy():
+    # Channels 2j and 2j + 1 share one complex inverse, so they share its
+    # roundoff; a channel 1e3 times larger must not swamp its partner.
+    rng = np.random.default_rng(17)
+    lengths = [37, 120, 5, 64]
+    plan = build_plan(lengths, filter_len=16, k=8)
+    docs = random_documents(rng, lengths, 4)
+    for doc in docs:
+        doc[:, 1::2] *= 1e3
+    sig = PackedSignal.from_documents(plan.layout, docs)
+    bank = FilterBank(rng.standard_normal((16, 4)))
+    ref = oracle_matrix(lengths, sig.valid_values(), bank.taps)
+    for fused in (True, False):
+        out = convolve(plan, sig, bank, fused=fused).valid_values()
+        for c in range(4):
+            assert rel_err(out[:, c], ref[:, c]) <= 1e-8
+
+
+@pytest.mark.parametrize("channels", [4, 5])
+def test_nan_in_one_channel_reaches_at_most_its_partner(channels):
+    rng = np.random.default_rng(18)
+    lengths = [9, 30, 4]
+    plan = build_plan(lengths, filter_len=6, k=4)
+    bank = FilterBank(rng.standard_normal((6, channels)))
+    for c in range(channels):
+        docs = random_documents(rng, lengths, channels)
+        docs[1][3, c] = np.nan
+        partners = {c, c ^ 1} & set(range(channels))
+        for fused in (True, False):
+            out = convolve(plan, PackedSignal.from_documents(plan.layout, docs), bank, fused=fused)
+            for i, doc in enumerate(out.documents()):
+                bad = {int(j) for j in np.flatnonzero(~np.isfinite(doc).all(axis=0))}
+                assert bad <= (partners if i == 1 else set())
+            assert not np.isfinite(out.documents()[1][3:, c]).any()
+
+
+def test_convolve_rejects_layout_mismatch():
+    plan = build_plan([4], filter_len=2, k=2)
+    other = build_plan([5], filter_len=2, k=2)
+    sig = PackedSignal.from_documents(other.layout, [np.ones((5, 1))])
+    with pytest.raises(ValueError):
+        convolve(plan, sig, FilterBank(np.ones((2, 1))))
