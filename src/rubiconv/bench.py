@@ -32,7 +32,7 @@ from .direct import (
     causal_mac_count,
     oracle_convolve,
 )
-from .packing import build_layout
+from .packing import _causal_spans, build_layout
 from .signal import FilterBank, PackedSignal
 from .transform import build_plan, convolve
 
@@ -179,8 +179,7 @@ def _run_oracle(doc_lengths, docs, taps) -> np.ndarray:
 
 
 def _pad_ratio(span_lengths, doc_lengths, filter_len) -> float:
-    causal = sum(length + min(length, filter_len) - 1 for length in doc_lengths)
-    return sum(span_lengths) / causal
+    return sum(span_lengths) / sum(_causal_spans(doc_lengths, filter_len)[2])
 
 
 def _make_runner(cfg: BenchConfig, doc_lengths, docs, taps) -> tuple[Callable[[], np.ndarray], float]:

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import counting
-from .packing import _span_positions
+from .packing import _causal_spans
 from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
 
 
@@ -71,15 +71,8 @@ def _next_pow2(n: int) -> int:
 
 def build_ct_layout(doc_lengths: Sequence[int], filter_len: int) -> CtLayout:
     """Pad each document for causal linear convolution, then to a power of two."""
-    lengths = tuple(int(x) for x in doc_lengths)
-    filter_len = int(filter_len)
-    if not lengths:
-        raise ValueError("a packed batch needs at least one document")
-    if any(length < 1 for length in lengths):
-        raise ValueError(f"document lengths must be >= 1, got {lengths}")
-    if filter_len < 1:
-        raise ValueError(f"filter length must be >= 1, got {filter_len}")
-    pow2 = tuple(_next_pow2(length + min(length, filter_len) - 1) for length in lengths)
+    lengths, filter_len, causal = _causal_spans(doc_lengths, filter_len)
+    pow2 = tuple(_next_pow2(span) for span in causal)
     offsets = tuple(int(x) for x in np.cumsum((0,) + pow2[:-1]))
     return CtLayout(
         doc_lengths=lengths,
@@ -90,7 +83,7 @@ def build_ct_layout(doc_lengths: Sequence[int], filter_len: int) -> CtLayout:
     )
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _bit_reverse_indices(layout: CtLayout) -> np.ndarray:
     """Global gather indices performing the per-document bit reversal."""
     idx = np.empty(layout.total_padded, dtype=np.int64)
@@ -106,9 +99,13 @@ def _bit_reverse_indices(layout: CtLayout) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def stage_triples(layout: CtLayout) -> tuple[TwiddleTriple, ...]:
     """Twiddle triples for stages m = 2, 4, ..., built once per layout.
+
+    Only the latest layout's tables stay cached (as for the bit reversal):
+    they take 48 bytes per position per stage, tens of MiB on a long packing,
+    and ``ct_convolve`` reuses one layout for all three transforms.
 
     Within an active document, stage-local index j gets the standard
     decimation-in-time factors: the top half (j < m/2) keeps itself and
@@ -218,9 +215,4 @@ def ct_convolve(x: PackedSignal, bank: FilterBank, layout: CtLayout) -> PackedSi
         np.asarray(layout.pow2_lengths),
     )
     counting.add_real_muls(inv.size)
-    time_values = inv.real * scale[:, None]
-
-    values = np.zeros_like(x.values)
-    valid = _span_positions(layout.offsets, layout.doc_lengths)
-    values[valid] = time_values[valid]
-    return PackedSignal._from_output(values, layout)
+    return PackedSignal._from_output(inv.real * scale[:, None], layout)

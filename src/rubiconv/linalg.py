@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: DFT matrices, GEMM, Hadamard products.
+"""Dense complex linear algebra: DFT matrices and GEMM.
 
 Everything here uses the positive-exponent convention w_n = exp(+2*pi*i/n)
 for DFT kernels.  Inverse transforms are obtained through conjugation
@@ -65,16 +65,6 @@ def gemm(a: np.ndarray, b: np.ndarray, mode: str = "standard") -> np.ndarray:
     p2 = a.imag @ b.imag
     p3 = (a.real + a.imag) @ (b.real + b.imag)
     return (p1 - p2) + 1j * (p3 - p1 - p2)
-
-
-def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hadamard product of two equally shaped complex matrices."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"elementwise_mul shape mismatch: {a.shape} vs {b.shape}")
-    counting.add_complex_muls(a.size, real_muls_each=4)
-    return a * b
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:

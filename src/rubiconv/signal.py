@@ -74,12 +74,14 @@ class PackedSignal:
 
     @classmethod
     def _from_output(cls, values: np.ndarray, layout) -> "PackedSignal":
-        """Wrap a library result without the checks meant for caller input.
+        """Wrap a library result, zeroing each document's padding tail in place.
 
-        The convolutions build their (total_padded, channels) float64 output
-        with zero padding tails, so converting and re-checking it would only
-        cost time.
+        The convolutions unload whole padded spans into a fresh
+        (total_padded, channels) float64 array; one slice per document clears
+        the tails, and the checks meant for caller input would only cost time.
         """
+        for off, length, span in zip(layout.span_offsets, layout.doc_lengths, layout.span_lengths):
+            values[off + length : off + span] = 0
         signal = object.__new__(cls)
         object.__setattr__(signal, "values", values)
         object.__setattr__(signal, "layout", layout)

@@ -25,9 +25,9 @@ The convolution entry point packs the real input and the real filter into
 one complex tensor (batch + i * filter), transforms once, recovers both
 spectra through conjugate symmetry, multiplies point-wise on the grid,
 reorders for the inverse, and reuses the forward kernel via
-ifft(x) = conj(fft(conj(x))) / n.  Truncating each document to its original
-length at the end removes the padding and leaves a strictly causal,
-boundary-respecting result.
+ifft(x) = conj(fft(conj(x))) / n.  Zeroing each document's tail past its
+original length at the end removes the padding and leaves a strictly
+causal, boundary-respecting result.
 
 The inverse uses the outputs' realness too.  Each channel's product
 spectrum P is Hermitian within every document, so for adjacent channels
@@ -60,7 +60,6 @@ from .packing import (
     IndexMap,
     PackedLayout,
     _column_geometry,
-    _span_positions,
     build_layout,
     build_p1,
     build_p2,
@@ -74,8 +73,8 @@ class RubiConvPlan:
     """Precomputed, layout-adaptive structures, reusable across layers.
 
     A plan is a pure function of (doc_lengths, filter_len, k); two plans
-    built from equal inputs are bit-identical.  All fields are treated as
-    immutable after construction.
+    built from equal inputs are bit-identical.  Every array it holds is
+    read-only, so one plan can be shared across layers and threads.
     """
 
     layout: PackedLayout
@@ -84,13 +83,10 @@ class RubiConvPlan:
     m2_blocks: tuple[np.ndarray, ...]  # (m_i, m_i) second-stage DFTs, one array per width
     p1: IndexMap  # packed vector -> grid, row-major per block
     pre_ifft: IndexMap  # column-major -> row-major frequency reorder
-    p2: IndexMap  # grid -> packed vector, truncated to original lengths
+    p2: IndexMap  # grid -> packed vector, column-major per block, whole padded spans
     inv_scale: np.ndarray  # (m_total,), 1 / L_i' for each column of document i
     rev_cols_first: np.ndarray  # (m_total,) column holding frequency -f, for grid row 0
     rev_cols_rest: np.ndarray  # (m_total,) the same for rows a > 0, whose row is k - a
-    unload: IndexMap  # grid -> packed vector at full padded lengths
-    load: IndexMap  # inverse of unload
-    valid_positions: np.ndarray  # padded-buffer positions of valid outputs
 
     @property
     def k(self) -> int:
@@ -133,22 +129,30 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
         + inv_scale.size
     )
 
-    unload = build_p2(layout, layout.padded_lengths)
+    m1 = dft_matrix(k)
+    p1, pre_ifft, p2 = build_p1(layout), build_pre_ifft_map(layout), build_p2(layout)
+    tables = (m1, twiddle, inv_scale, rev_cols_first, rev_cols_rest, *dfts.values())
+    for table in tables + (p1.src_flat, pre_ifft.src_flat, p2.src_flat):
+        _freeze(table)
     return RubiConvPlan(
         layout=layout,
-        m1=dft_matrix(k),
+        m1=m1,
         twiddle=twiddle.T,
         m2_blocks=tuple(dfts[m_i] for m_i in layout.cols_per_doc),
-        p1=build_p1(layout),
-        pre_ifft=build_pre_ifft_map(layout),
-        p2=build_p2(layout),
+        p1=p1,
+        pre_ifft=pre_ifft,
+        p2=p2,
         inv_scale=inv_scale,
         rev_cols_first=rev_cols_first,
         rev_cols_rest=rev_cols_rest,
-        unload=unload,
-        load=unload.inverse(),
-        valid_positions=_span_positions(layout.pos_offsets, layout.doc_lengths),
     )
+
+
+def _freeze(array: np.ndarray) -> None:
+    """Make an array, and every array whose memory it views, read-only."""
+    while isinstance(array, np.ndarray):
+        array.flags.writeable = False
+        array = array.base
 
 
 def _check_mode(gemm_mode: str) -> None:
@@ -209,7 +213,7 @@ def forward(plan: RubiConvPlan, x: np.ndarray, gemm_mode: str = "standard") -> n
             f"packed vector has {x.shape[0]} positions, plan expects "
             f"{plan.layout.total_padded}"
         )
-    return plan.unload.apply(transform_grid(plan, plan.p1.apply(x), gemm_mode))
+    return plan.p2.apply(transform_grid(plan, plan.p1.apply(x), gemm_mode))
 
 
 def inverse(plan: RubiConvPlan, y: np.ndarray, gemm_mode: str = "standard") -> np.ndarray:
@@ -220,11 +224,12 @@ def inverse(plan: RubiConvPlan, y: np.ndarray, gemm_mode: str = "standard") -> n
             f"packed vector has {y.shape[0]} positions, plan expects "
             f"{plan.layout.total_padded}"
         )
-    grid = plan.pre_ifft.apply(plan.load.apply(y))
-    out = np.conj(transform_grid(plan, np.conj(grid), gemm_mode))
+    # Loaded row-major per block, frequency f sits at cell (f // m_i, f mod m_i)
+    # of its block: the order the inverse's forward transform reads.
+    out = np.conj(transform_grid(plan, np.conj(plan.p1.apply(y)), gemm_mode))
     counting.add_real_muls(2 * out.size)
     out *= plan.inv_scale.reshape((1, -1) + (1,) * (out.ndim - 2))
-    return plan.unload.apply(out)
+    return plan.p2.apply(out)
 
 
 def convolve(
@@ -284,10 +289,10 @@ def convolve(
     counting.add_real_muls(time_cells.size)
     time_cells *= plan.inv_scale[:, None, None]
 
-    valid = plan.p2.apply(time_cells.swapaxes(0, 1))
+    values = plan.p2.apply(time_cells.swapaxes(0, 1))
     del time_cells
-    values = np.zeros_like(x.values)
-    values[plan.valid_positions] = valid[:, : x.channels]
+    if values.shape[1] != x.channels:  # an odd D drops its zero partner
+        values = np.ascontiguousarray(values[:, : x.channels])
     return PackedSignal._from_output(values, plan.layout)
 
 

@@ -5,7 +5,6 @@ from conftest import oracle_matrix, random_doc_lengths, random_documents, rel_er
 from rubiconv import (
     FilterBank,
     PackedSignal,
-    bit_reverse_permute,
     build_ct_layout,
     build_plan,
     convolve,
@@ -13,8 +12,12 @@ from rubiconv import (
     ct_convolve,
     ct_inverse,
     masked_fft,
-    masked_fft_stages,
     naive_dft,
+)
+from rubiconv.cooley_tukey import (
+    _bit_reverse_indices,
+    bit_reverse_permute,
+    masked_fft_stages,
     stage_triples,
 )
 
@@ -270,3 +273,14 @@ def test_ct_convolve_channel_mismatch_rejected():
     sig = PackedSignal.from_documents(layout, [np.ones((4, 2))])
     with pytest.raises(ValueError):
         ct_convolve(sig, FilterBank(np.ones((2, 3))), layout)
+
+
+def test_radix2_caches_keep_only_the_latest_layout():
+    rng = np.random.default_rng(42)
+    for lengths in ([5, 9, 3], [40, 2], [17, 1, 8, 30]):
+        layout = build_ct_layout(lengths, 4)
+        sig = PackedSignal.from_documents(layout, [rng.standard_normal((n, 2)) for n in lengths])
+        ct_convolve(sig, FilterBank(rng.standard_normal((4, 2))), layout)
+    assert _bit_reverse_indices.cache_info().currsize == 1
+    assert stage_triples.cache_info().currsize == 1
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from rubiconv import count_ops, dft_matrix, elementwise_mul, gemm, naive_dft
+from rubiconv import count_ops, dft_matrix, gemm, naive_dft
 
 
 def test_dft_matrix_identity_case():
@@ -134,24 +134,3 @@ def test_gemm_stacked_right_operand(mode):
 def test_gemm_rejects_stacked_left_operand():
     with pytest.raises(ValueError):
         gemm(np.ones((2, 2, 2)), np.ones((2, 2)))
-
-
-def test_elementwise_zero_absorber():
-    out = elementwise_mul(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]))
-    assert np.array_equal(out, np.array([[0.0 + 0j, 0.0 + 0j]]))
-
-
-def test_elementwise_conjugate_product():
-    out = elementwise_mul(np.array([[1 + 1j]]), np.array([[1 - 1j]]))
-    assert np.allclose(out, [[2.0]], atol=1e-15)
-
-
-def test_elementwise_ones_identity():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    assert np.array_equal(elementwise_mul(a, np.ones((3, 5))), a)
-
-
-def test_elementwise_shape_mismatch():
-    with pytest.raises(ValueError):
-        elementwise_mul(np.ones((2, 2)), np.ones((2, 3)))

@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,9 +18,8 @@ from rubiconv import (
     forward,
     inverse,
     naive_dft,
-    split_dual_real,
-    transform_grid,
 )
+from rubiconv.transform import split_dual_real, transform_grid
 
 
 def forward_vs_naive_worst(plan, x):
@@ -47,13 +51,11 @@ def test_plan_build_is_deterministic():
     assert np.array_equal(a.m1, b.m1)
     assert np.array_equal(a.twiddle, b.twiddle)
     assert all(np.array_equal(x, y) for x, y in zip(a.m2_blocks, b.m2_blocks))
-    for field in ("p1", "pre_ifft", "p2", "unload", "load"):
+    for field in ("p1", "pre_ifft", "p2"):
         assert np.array_equal(getattr(a, field).src_flat, getattr(b, field).src_flat)
-        assert np.array_equal(getattr(a, field).dst_flat, getattr(b, field).dst_flat)
     assert np.array_equal(a.inv_scale, b.inv_scale)
     assert np.array_equal(a.rev_cols_first, b.rev_cols_first)
     assert np.array_equal(a.rev_cols_rest, b.rev_cols_rest)
-    assert np.array_equal(a.valid_positions, b.valid_positions)
 
 
 def test_equal_width_documents_share_tables():
@@ -403,3 +405,75 @@ def test_convolve_rejects_layout_mismatch():
     sig = PackedSignal.from_documents(other.layout, [np.ones((5, 1))])
     with pytest.raises(ValueError):
         convolve(plan, sig, FilterBank(np.ones((2, 1))))
+
+
+def plan_arrays(plan) -> list[np.ndarray]:
+    """Every distinct base array reachable through a plan's fields."""
+    found, stack = {}, [plan]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            found[id(item)] = item
+        elif dataclasses.is_dataclass(item):
+            stack.extend(getattr(item, field.name) for field in dataclasses.fields(item))
+        elif isinstance(item, tuple):
+            stack.extend(item)
+    return list(found.values())
+
+
+def test_plan_bytes_bounded_and_maps_are_permutations():
+    rng = np.random.default_rng(40)
+    for _ in range(10):
+        k = int(rng.choice([1, 2, 4, 16, 64]))
+        plan = build_plan(random_doc_lengths(rng), int(rng.choice([1, 7, 64, 512])), k)
+        layout = plan.layout
+        bound = (
+            16 * k * k
+            + 16 * sum(m * m for m in set(layout.cols_per_doc))
+            + 40 * layout.total_padded
+            + 24 * layout.total_cols
+        )
+        assert sum(a.nbytes for a in plan_arrays(plan)) <= bound
+        for index_map in (plan.p1, plan.pre_ifft, plan.p2):
+            src_size = math.prod(index_map.src_shape)
+            assert len(index_map.src_flat) == math.prod(index_map.dst_shape) == src_size
+            assert np.array_equal(np.sort(index_map.src_flat), np.arange(src_size))
+
+
+def test_plan_arrays_are_read_only():
+    plan = build_plan([5, 9, 2], filter_len=4, k=4)
+    assert not any(a.flags.writeable for a in plan_arrays(plan))
+    with pytest.raises(ValueError):
+        plan.twiddle[0, 0] = 0
+    with pytest.raises(ValueError):
+        plan.p1.src_flat[0] = 0
+
+
+def test_one_plan_shared_across_threads_gives_the_serial_result():
+    rng = np.random.default_rng(41)
+    lengths = [300, 17, 1, 129, 64]
+    plan = build_plan(lengths, filter_len=32, k=16)
+    signal = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, 6))
+    bank = FilterBank(rng.standard_normal((32, 6)))
+    expected = convolve(plan, signal, bank).values
+    results = [None] * 4
+
+    def run(i):
+        for _ in range(5):
+            results[i] = convolve(plan, signal, bank).values
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(np.array_equal(out, expected) for out in results)
+
