@@ -7,13 +7,18 @@ then padded to the next multiple of k.  The padded batch is viewed as a
 k x m_total grid in which document i owns m_i = L_i'/k whole columns, so no
 grid column ever mixes two documents.
 
+The buffer keeps the documents in the caller's order; the grid does not.
+Its column blocks are sorted by width m_i, stably, so documents of equal
+width keep their order and every width group is one contiguous run of
+columns, which the transform's block stage runs as a few stacked GEMMs.
+
 Data moves between the buffer and the grid through three gathers: ``p1``
 loads the buffer row-major per document block, ``pre_ifft`` reorders a
 spectrum from column-major to row-major frequency order, and ``p2`` unloads
 the grid column-major per block, whole padded spans included.  Each is an
 ``IndexMap`` holding one source index per destination element, so applying
-it is a single ``take``.  Building them is linear in the grid size, with no
-per-document Python loop.
+it is a single ``take``, and the column order costs nothing at run time.
+Building them is linear in the grid size, with no per-document Python loop.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ class PackedLayout:
 
     padded_lengths[i] = k * ceil((L_i + min(L_i, L_F) - 1) / k), so every
     document occupies cols_per_doc[i] = padded_lengths[i] / k whole columns
-    of the k x total_cols grid, starting at column col_offsets[i].
+    of the k x total_cols grid, starting at column col_offsets[i].  Column
+    blocks are in width order (stable in document order), while the span
+    of document i in the packed buffer starts at pos_offsets[i], in
+    document order.
     """
 
     doc_lengths: tuple[int, ...]
@@ -135,7 +143,11 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
 
     padded = tuple(k * -(-span // k) for span in causal)
     cols = tuple(p // k for p in padded)
-    col_offsets = tuple(int(x) for x in np.cumsum((0,) + cols[:-1]))
+    # Column blocks in width order; equal widths keep document order.
+    widths = np.asarray(cols, dtype=np.int64)
+    order = np.argsort(widths, kind="stable")
+    col_offsets = np.empty_like(widths)
+    col_offsets[order] = np.cumsum(widths[order]) - widths[order]
     pos_offsets = tuple(int(x) for x in np.cumsum((0,) + padded[:-1]))
     return PackedLayout(
         doc_lengths=lengths,
@@ -143,7 +155,7 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
         k=k,
         padded_lengths=padded,
         cols_per_doc=cols,
-        col_offsets=col_offsets,
+        col_offsets=tuple(int(x) for x in col_offsets),
         total_cols=sum(cols),
         total_padded=sum(padded),
         pos_offsets=pos_offsets,
@@ -164,11 +176,14 @@ def _span_positions(starts: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     return np.asarray(starts, dtype=np.int64)[owner] + local
 
 
-def _column_geometry(layout: PackedLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per grid column: first column of its document block, local index, width m_i."""
-    owner, local = _doc_index(layout.cols_per_doc)
-    first = np.asarray(layout.col_offsets, dtype=np.int64)[owner]
-    return first, local, np.asarray(layout.cols_per_doc, dtype=np.int64)[owner]
+def _column_geometry(layout: PackedLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per grid column: its document, the block's first column, local index, width m_i."""
+    offsets = np.asarray(layout.col_offsets, dtype=np.int64)
+    widths = np.asarray(layout.cols_per_doc, dtype=np.int64)
+    order = np.argsort(offsets)  # documents in grid order
+    owner, local = _doc_index(widths[order])
+    doc = order[owner]
+    return doc, offsets[doc], local, widths[doc]
 
 
 def build_p1(layout: PackedLayout) -> IndexMap:
@@ -177,10 +192,10 @@ def build_p1(layout: PackedLayout) -> IndexMap:
     Document i's padded span fills its column block in row-major order:
     grid[r, col_offsets[i] + c] = x[pos_offsets[i] + r * m_i + c].
     """
-    first, local, width = _column_geometry(layout)
-    # Document i's span starts at pos_offsets[i] = k * col_offsets[i].
+    doc, _, local, width = _column_geometry(layout)
+    start = np.asarray(layout.pos_offsets, dtype=np.int64)[doc]
     rows = np.arange(layout.k, dtype=np.int64)[:, None]
-    src = (rows * width + layout.k * first + local).ravel()
+    src = (rows * width + start + local).ravel()
     counting.add_built_elements(len(src))
     return IndexMap((layout.total_padded,), (layout.k, layout.total_cols), src)
 
@@ -190,11 +205,14 @@ def build_p2(layout: PackedLayout) -> IndexMap:
 
     Each document block is flattened in column-major order into its whole
     padded span, padding tail included; callers that need zero tails clear
-    them afterwards.  Column-major per block with whole columns is the
-    grid's global column-major order: position t comes from cell
-    (t % k, t // k).
+    them afterwards.  Position pos_offsets[i] + c * k + r comes from cell
+    (r, col_offsets[i] + c).
     """
-    src = np.arange(layout.total_padded, dtype=np.int64).reshape(layout.k, -1).T.ravel()
+    # Grid column of each k-position run of the buffer, in buffer order.
+    owner, local = _doc_index(layout.cols_per_doc)
+    cols = np.asarray(layout.col_offsets, dtype=np.int64)[owner] + local
+    rows = np.arange(layout.k, dtype=np.int64) * layout.total_cols
+    src = (cols[:, None] + rows).ravel()
     counting.add_built_elements(len(src))
     return IndexMap((layout.k, layout.total_cols), (layout.total_padded,), src)
 
@@ -209,7 +227,7 @@ def build_pre_ifft_map(layout: PackedLayout) -> IndexMap:
     accordingly, independently per document block.
     """
     m_total = layout.total_cols
-    first, local, width = _column_geometry(layout)
+    _, first, local, width = _column_geometry(layout)
     # Destination cell (r, c) holds frequency f = r * m_i + local column.
     f = np.arange(layout.k, dtype=np.int64)[:, None] * width + local
     src = ((f % layout.k) * m_total + first + f // layout.k).ravel()

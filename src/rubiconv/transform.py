@@ -12,9 +12,13 @@ is dense GEMM.
 The block stage runs column-major, on an (m_total, D, k) array in which
 grid column c is one contiguous row, so each document owns contiguous
 rows.  The k-point GEMM writes that layout directly: M1 is symmetric, so
-grid^T @ M1 is the transposed product.  The twiddle is applied in place,
-and each document's m_i-point DFT is one GEMM on a view of its own rows,
-with no copy in.  Its result is copied out with the channels last, into
+grid^T @ M1 is the transposed product.  The twiddle is applied in place.
+The grid's column blocks are sorted by width (see ``packing``), so all
+documents of width m_i form one contiguous (n_i, m_i, D*k) slab, and their
+m_i-point DFTs run as stacked GEMMs on views of it, with no copy in.  Each
+GEMM stacks at most m_max // m_i documents, m_max being the widest
+document's width, so no temporary is larger than one block of the widest
+document.  Results are copied out with the channels last, into
 (m_total, k, D) memory, and the grid is handed back as a (k, m_total, D)
 view of it.  The dual-real split and the index maps read that
 column-major memory directly.  Twiddles and DFT matrices depend only on a
@@ -111,13 +115,14 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
         cols = np.arange(m_i, dtype=np.int64)[:, None]
         twiddles[m_i] = np.exp((2j * np.pi / padded) * ((cols * rows) % padded))
         dfts[m_i] = dft_matrix(m_i)
-    # Column-major: row c holds the twiddles of grid column c.
-    twiddle = np.concatenate([twiddles[m_i] for m_i in layout.cols_per_doc])
+    # Column-major: row c holds the twiddles of grid column c.  Grid blocks
+    # are in width order.
+    twiddle = np.concatenate([twiddles[m_i] for m_i in sorted(layout.cols_per_doc)])
 
     # Cell (a, c) holds frequency f = b*k + a of its document, b being the
     # local column.  Frequency (-f) mod L_i' sits in row (-a) mod k, at local
     # column (-b) mod m_i when a = 0 and m_i - 1 - b otherwise.
-    first, local, width = _column_geometry(layout)
+    _, first, local, width = _column_geometry(layout)
     rev_cols_first = first + (-local) % width
     rev_cols_rest = first + width - 1 - local
     inv_scale = 1.0 / (k * width).astype(np.float64)
@@ -168,12 +173,13 @@ def transform_grid(plan: RubiConvPlan, grid: np.ndarray, gemm_mode: str = "stand
     The output is a view of column-major memory (see the module notes).
     Input in C order, or held in (m_total, D, k) memory, is read without a
     copy; any other layout is copied once.
-    The second DFT is applied block by block, never as a dense matrix, so
-    document blocks stay bit-level independent.
+    The second DFT is applied to stacks of equal-width blocks, never as a
+    dense matrix, so document blocks stay bit-level independent.
     """
     _check_mode(gemm_mode)
     grid = np.asarray(grid, dtype=np.complex128)
-    k, m_total = plan.k, plan.layout.total_cols
+    layout = plan.layout
+    k, m_total = layout.k, layout.total_cols
     if grid.shape[:2] != (k, m_total):
         raise ValueError(f"grid leading shape {grid.shape} does not match {(k, m_total)}")
     width = int(np.prod(grid.shape[2:], dtype=np.int64))
@@ -187,16 +193,24 @@ def transform_grid(plan: RubiConvPlan, grid: np.ndarray, gemm_mode: str = "stand
     # Twiddle stage; kept as plain complex multiplication in either mode.
     counting.add_complex_muls(work.size, real_muls_each=4)
     work *= plan.twiddle.T[:, None, :]
-    # Each block's result is copied out with channels last, so that a grid
-    # cell's channels are contiguous for the index maps that follow.
+    # Width groups are contiguous, each starting at the block of its first
+    # document, and run as capped stacks (see the module notes).  Results
+    # are copied out with channels last, so that a grid cell's channels are
+    # contiguous for the index maps that follow.
     out = np.empty((m_total, k, width), dtype=np.complex128)
-    for off_col, m_i, block in zip(
-        plan.layout.col_offsets, plan.layout.cols_per_doc, plan.m2_blocks
-    ):
-        rows = work[off_col : off_col + m_i].reshape(m_i, width * k)
-        out[off_col : off_col + m_i] = (
-            gemm(block, rows, gemm_mode).reshape(m_i, width, k).transpose(0, 2, 1)
-        )
+    m_max = max(layout.cols_per_doc)
+    groups = np.unique(layout.cols_per_doc, return_index=True, return_counts=True)
+    for m_i, doc, n_docs in zip(*(g.tolist() for g in groups)):
+        start = layout.col_offsets[doc]
+        stop, chunk = start + m_i * n_docs, m_i * (m_max // m_i)
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            rows = work[lo:hi].reshape(-1, m_i, width * k)
+            out[lo:hi] = (
+                gemm(plan.m2_blocks[doc], rows, gemm_mode)
+                .reshape(hi - lo, width, k)
+                .transpose(0, 2, 1)
+            )
     return out.swapaxes(0, 1).reshape(grid.shape)
 
 

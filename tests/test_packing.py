@@ -62,9 +62,18 @@ def test_layout_invariants_random():
             assert padded <= 2 * length + k  # padding never more than doubles plus k
         assert layout.total_cols == sum(layout.cols_per_doc)
         assert layout.total_padded == sum(layout.padded_lengths)
-        offsets = np.asarray(layout.col_offsets)
-        assert np.all(np.diff(offsets) > 0) or len(offsets) == 1
-        assert layout.total_cols == layout.col_offsets[-1] + layout.cols_per_doc[-1]
+        # The blocks tile [0, total_cols) exactly once, in width order, and
+        # equal widths keep document order.
+        owner = np.full(layout.total_cols, -1)
+        for doc, (off, m) in enumerate(zip(layout.col_offsets, layout.cols_per_doc)):
+            assert 0 <= off and off + m <= layout.total_cols
+            assert np.all(owner[off : off + m] == -1)
+            owner[off : off + m] = doc
+        assert np.all(owner >= 0)
+        grid_order = np.argsort(layout.col_offsets)
+        widths = np.asarray(layout.cols_per_doc)[grid_order]
+        assert np.all(np.diff(widths) >= 0)
+        assert np.all((np.diff(widths) > 0) | (np.diff(grid_order) > 0))
 
 
 def test_layout_monotone_in_document_length():

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import rubiconv.transform
 from conftest import oracle_matrix, random_doc_lengths, random_documents, rel_err
 from rubiconv import (
     FilterBank,
@@ -297,6 +298,35 @@ def test_grid_stages_ignore_memory_layout():
         contiguous = np.ascontiguousarray(expected)
         for got, want in zip(split_dual_real(plan, contiguous), expected_split):
             assert np.array_equal(got, want)
+
+
+def test_block_stage_runs_capped_stacks_per_width(monkeypatch):
+    # About 1000 short documents in a few widths: the block stage stacks
+    # equal-width documents, at most m_max // m of width m per GEMM, so it
+    # makes neither one call per document nor a temporary wider than the
+    # widest document's block.
+    rng = np.random.default_rng(16)
+    lengths = rng.geometric(1 / 32, size=1000).tolist()
+    k, channels = 64, 2
+    plan = build_plan(lengths, filter_len=64, k=k)
+    operands = []
+    gemm = rubiconv.transform.gemm
+
+    def recording(a, b, *args, **kwargs):
+        if b is not plan.m1:
+            operands.append(np.shape(b))
+        return gemm(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(rubiconv.transform, "gemm", recording)
+    shape = (k, plan.layout.total_cols, channels)
+    transform_grid(plan, rng.standard_normal(shape) + 0j)
+
+    widths, counts = np.unique(plan.layout.cols_per_doc, return_counts=True)
+    m_max = int(widths[-1])
+    assert len(widths) > 2 and counts[0] > m_max
+    expected_calls = sum(-(-n // max(1, m_max // w)) for w, n in zip(widths, counts))
+    assert len(operands) == expected_calls
+    assert max(math.prod(s) for s in operands) <= m_max * channels * k
 
 
 def test_fused_matches_unfused_reference_path():
