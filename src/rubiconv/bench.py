@@ -34,7 +34,7 @@ from .direct import (
 )
 from .packing import _causal_spans, build_layout
 from .signal import FilterBank, PackedSignal
-from .transform import build_plan, convolve
+from .transform import build_plan, convolve, convolve_cmuls
 
 ALGORITHMS = ("rubiconv", "rubiconv-conv-only", "ct", "full-matrix", "naive")
 CSV_COLUMNS = (
@@ -239,14 +239,7 @@ def _analytic_count(cfg: BenchConfig, doc_lengths) -> int:
         # Three masked transforms at 3*N per stage, plus the point-wise product.
         per_channel = layout.total_padded * (9 * layout.max_log2 + 1)
         return per_channel * cfg.model_dim
-    # rubiconv / rubiconv-conv-only: a forward grid transform over D
-    # channels (dual-real packing), a paired inverse over ceil(D/2), and
-    # 3 muls per cell and channel for the conjugate-symmetry recovery and
-    # the point-wise product.
-    layout = build_layout(doc_lengths, cfg.filter_len, cfg.k)
-    k, m_total, d = cfg.k, layout.total_cols, cfg.model_dim
-    transform = k * k * m_total + k * sum(m * m for m in layout.cols_per_doc) + k * m_total
-    return (d + (d + 1) // 2) * transform + 3 * k * m_total * d
+    return convolve_cmuls(build_layout(doc_lengths, cfg.filter_len, cfg.k), cfg.model_dim)
 
 
 def run_config(cfg: BenchConfig) -> dict:

@@ -33,7 +33,9 @@ def dft_matrix(j: int) -> np.ndarray:
     return np.exp((2j * np.pi / j) * lm)
 
 
-def gemm(a: np.ndarray, b: np.ndarray, mode: str = "standard") -> np.ndarray:
+def gemm(
+    a: np.ndarray, b: np.ndarray, mode: str = "standard", out: np.ndarray | None = None
+) -> np.ndarray:
     """Complex matrix product a @ b.
 
     ``a`` is one matrix; ``b`` is one matrix or a stack of them, whose
@@ -46,6 +48,9 @@ def gemm(a: np.ndarray, b: np.ndarray, mode: str = "standard") -> np.ndarray:
     p1 = ac, p2 = bd, p3 = (a+b)(c+d) as (p1 - p2) + (p3 - p1 - p2)i.
     The rewrite is applied per scalar product, batched over the whole
     matrix; it is not a recursive matrix algorithm.
+
+    With ``out``, a C-contiguous complex128 array of the product's shape,
+    the product is written there and ``out`` is returned.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -56,15 +61,27 @@ def gemm(a: np.ndarray, b: np.ndarray, mode: str = "standard") -> np.ndarray:
     if mode not in GEMM_MODES:
         raise ValueError(f"unknown gemm mode {mode!r}, expected one of {GEMM_MODES}")
 
+    shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(
+            f"gemm out must be a C-contiguous complex128 array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+
     n_products = a.shape[0] * a.shape[1] * b.shape[-1] * math.prod(b.shape[:-2])
     if mode == "standard":
         counting.add_complex_muls(n_products, real_muls_each=4)
-        return a @ b
+        return np.matmul(a, b, out=out)
     counting.add_complex_muls(n_products, real_muls_each=3)
     p1 = a.real @ b.real
     p2 = a.imag @ b.imag
     p3 = (a.real + a.imag) @ (b.real + b.imag)
-    return (p1 - p2) + 1j * (p3 - p1 - p2)
+    np.subtract(p1, p2, out=out.real)
+    np.subtract(p3, p1, out=out.imag)
+    out.imag -= p2
+    return out
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ The buffer keeps the documents in the caller's order; the grid does not.
 Its column blocks are sorted by width m_i, stably, so documents of equal
 width keep their order and every width group is one contiguous run of
 columns, which the transform's block stage runs as a few stacked GEMMs.
+``width_groups`` lists those runs, each with the rows and columns past
+which its documents hold only causal padding.
 
 Data moves between the buffer and the grid through three gathers: ``p1``
 loads the buffer row-major per document block, ``pre_ifft`` reorders a
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,6 +161,42 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
         total_cols=sum(cols),
         total_padded=sum(padded),
         pos_offsets=pos_offsets,
+    )
+
+
+class WidthGroup(NamedTuple):
+    """One run of equal-width column blocks in the width-sorted grid.
+
+    Besides where the run sits, a group records two bounds that hold for
+    every document i in it.  A row-major load puts positions t < L_i in
+    rows r < ceil(L_i / m), so rows at and past ``live_rows`` hold only
+    padding.  A transformed grid holds time b * k + a at cell (a, b) of a
+    block, so times t < L_i sit in columns b < ceil(L_i / k), and columns
+    at and past ``live_cols`` hold only padding tails.
+    """
+
+    width: int  # m, columns per document
+    first_col: int  # grid column where the run starts
+    n_docs: int
+    doc: int  # the run's first document
+    live_rows: int  # max ceil(L_i / m) over the run
+    live_cols: int  # max ceil(L_i / k) over the run
+
+
+def width_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
+    """The grid's width groups, in grid order."""
+    widths = np.asarray(layout.cols_per_doc, dtype=np.int64)
+    lengths = np.asarray(layout.doc_lengths, dtype=np.int64)
+    order = np.argsort(layout.col_offsets)  # documents in grid order
+    widths, lengths = widths[order], lengths[order]
+    starts = np.flatnonzero(np.diff(widths, prepend=0))
+    counts = np.diff(starts, append=len(order))
+    live_rows = np.maximum.reduceat(-(-lengths // widths), starts)
+    live_cols = np.maximum.reduceat(-(-lengths // layout.k), starts)
+    first = order[starts]
+    return tuple(
+        WidthGroup(int(widths[s]), layout.col_offsets[doc], int(n), int(doc), int(r), int(b))
+        for s, doc, n, r, b in zip(starts, first, counts, live_rows, live_cols)
     )
 
 

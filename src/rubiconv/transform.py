@@ -38,16 +38,31 @@ spectrum P is Hermitian within every document, so for adjacent channels
 a = 2j and b = 2j + 1 the forward kernel applied to conj(P_a) + i*conj(P_b)
 returns L_i' * (y_a + i*y_b): one complex inverse over ceil(D/2) channels
 yields all D real outputs, already in channel order when viewed as float64.
-An odd D pairs its last channel with zero.  A convolution over D channels
-therefore counts
+An odd D pairs its last channel with zero.  Paired channels share one
+inverse, so they share its roundoff, and a NaN or inf in channel 2j can
+reach channel 2j + 1 (and back), but only within the same document: no
+stage mixes documents.
 
-    (D + ceil(D/2)) * (k^2 m_total + k * sum(m_i^2) + k m_total) + 3 k m_total D
+Inside ``convolve`` only, both transforms skip the causal padding, per
+width group w of c_w columns (``packing.WidthGroup``).  The input is zero
+at and past each document's length L_i, and a row-major load puts
+positions t < L_i in rows r < ceil(L_i / m_i), so the forward's k-point
+GEMM contracts over the group's first r_w = max ceil(L_i / m_i) rows only.
+Only times t < L_i are kept, and the inverse's output cell (a, b) holds
+time b * k + a, so its block stage computes only the first
+b_w = max ceil(L_i / k) columns of each block and writes zeros into the
+rest.  ``forward``, ``inverse`` and a default ``transform_grid`` call run
+the full transform, k^2 m_total + k * sum(m_i^2) + k m_total complex
+multiplications per channel.  A convolution over D channels counts
+(``convolve_cmuls``)
 
-complex multiplications: the forward transform, the paired inverse, and
-per cell and channel two for the dual-real split and one for the product.
-Paired channels share one inverse, so they share its roundoff, and a NaN or
-inf in channel 2j can reach channel 2j + 1 (and back), but only within the
-same document: no stage mixes documents.
+    D * (k * sum_w c_w r_w + k m_total + k * sum_i m_i^2)
+      + ceil(D/2) * (k^2 m_total + k m_total + k * sum_i m_i b_w(i))
+      + 3 k m_total D
+
+complex multiplications: the pruned forward, the paired, pruned inverse,
+and per cell and channel two for the dual-real split and one for the
+product.
 """
 
 from __future__ import annotations
@@ -63,11 +78,13 @@ from .packing import (
     DEFAULT_K,
     IndexMap,
     PackedLayout,
+    WidthGroup,
     _column_geometry,
     build_layout,
     build_p1,
     build_p2,
     build_pre_ifft_map,
+    width_groups,
 )
 from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
 
@@ -85,6 +102,7 @@ class RubiConvPlan:
     m1: np.ndarray  # (k, k) first-stage DFT
     twiddle: np.ndarray  # (k, m_total) view of an (m_total, k) table; block i holds w_{L_i'}^(a*b)
     m2_blocks: tuple[np.ndarray, ...]  # (m_i, m_i) second-stage DFTs, one array per width
+    groups: tuple[WidthGroup, ...]  # the grid's width groups, with their live rows and columns
     p1: IndexMap  # packed vector -> grid, row-major per block
     pre_ifft: IndexMap  # column-major -> row-major frequency reorder
     p2: IndexMap  # grid -> packed vector, column-major per block, whole padded spans
@@ -144,6 +162,7 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
         m1=m1,
         twiddle=twiddle.T,
         m2_blocks=tuple(dfts[m_i] for m_i in layout.cols_per_doc),
+        groups=width_groups(layout),
         p1=p1,
         pre_ifft=pre_ifft,
         p2=p2,
@@ -151,6 +170,17 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
         rev_cols_first=rev_cols_first,
         rev_cols_rest=rev_cols_rest,
     )
+
+
+def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
+    """Complex multiplications one fused ``convolve`` call counts (see the module notes)."""
+    k, m_total, groups = layout.k, layout.total_cols, width_groups(layout)
+    k_stage = k * sum(g.n_docs * g.width * g.live_rows for g in groups)
+    blocks = k * sum(g.n_docs * g.width * g.width for g in groups)
+    live_blocks = k * sum(g.n_docs * g.width * g.live_cols for g in groups)
+    forward = k_stage + k * m_total + blocks
+    inverse = k * k * m_total + k * m_total + live_blocks
+    return channels * forward + (channels + 1) // 2 * inverse + 3 * k * m_total * channels
 
 
 def _freeze(array: np.ndarray) -> None:
@@ -165,7 +195,14 @@ def _check_mode(gemm_mode: str) -> None:
         raise ValueError(f"unknown gemm mode {gemm_mode!r}, expected one of {GEMM_MODES}")
 
 
-def transform_grid(plan: RubiConvPlan, grid: np.ndarray, gemm_mode: str = "standard") -> np.ndarray:
+def transform_grid(
+    plan: RubiConvPlan,
+    grid: np.ndarray,
+    gemm_mode: str = "standard",
+    *,
+    skip_zero_rows: bool = False,
+    skip_unread_cols: bool = False,
+) -> np.ndarray:
     """Run the three frequency stages on an already loaded grid.
 
     Input cells hold document values row-major per block; output cell (a, b)
@@ -175,6 +212,15 @@ def transform_grid(plan: RubiConvPlan, grid: np.ndarray, gemm_mode: str = "stand
     copy; any other layout is copied once.
     The second DFT is applied to stacks of equal-width blocks, never as a
     dense matrix, so document blocks stay bit-level independent.
+
+    Two flags prune the causal padding, per width group (``plan.groups``).
+    ``skip_zero_rows`` promises that every document's input is zero at and
+    past its length L_i: the k-point GEMM then reads only the group's first
+    ``live_rows`` grid rows, and the rows past them are never read.
+    ``skip_unread_cols`` says that only outputs at times t < L_i are read:
+    the block stage then computes only the group's ``live_cols`` output
+    columns and writes zeros into the rest.  Without them the transform is
+    the full padded-length DFT.
     """
     _check_mode(gemm_mode)
     grid = np.asarray(grid, dtype=np.complex128)
@@ -189,27 +235,33 @@ def transform_grid(plan: RubiConvPlan, grid: np.ndarray, gemm_mode: str = "stand
         cells = np.moveaxis(grid, 0, -1).reshape(m_total * width, k)
 
     # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major.
-    work = gemm(cells, plan.m1, gemm_mode).reshape(m_total, width, k)
+    # Pruned, each width group contracts over its live rows only.
+    work = np.empty((m_total, width, k), dtype=np.complex128)
+    runs = [(g.first_col, g.live_rows) for g in plan.groups] if skip_zero_rows else [(0, k)]
+    for (lo, n_rows), (hi, _) in zip(runs, runs[1:] + [(m_total, 0)]):
+        m1 = plan.m1 if n_rows == k else plan.m1[:n_rows]
+        gemm(cells[lo * width : hi * width, :n_rows], m1, gemm_mode, out=work[lo:hi].reshape(-1, k))
     # Twiddle stage; kept as plain complex multiplication in either mode.
     counting.add_complex_muls(work.size, real_muls_each=4)
     work *= plan.twiddle.T[:, None, :]
-    # Width groups are contiguous, each starting at the block of its first
-    # document, and run as capped stacks (see the module notes).  Results
-    # are copied out with channels last, so that a grid cell's channels are
-    # contiguous for the index maps that follow.
+    # Width groups are contiguous and run as capped stacks (see the module
+    # notes).  Results are copied out with channels last, so that a grid
+    # cell's channels are contiguous for the index maps that follow.
     out = np.empty((m_total, k, width), dtype=np.complex128)
-    m_max = max(layout.cols_per_doc)
-    groups = np.unique(layout.cols_per_doc, return_index=True, return_counts=True)
-    for m_i, doc, n_docs in zip(*(g.tolist() for g in groups)):
-        start = layout.col_offsets[doc]
-        stop, chunk = start + m_i * n_docs, m_i * (m_max // m_i)
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            rows = work[lo:hi].reshape(-1, m_i, width * k)
-            out[lo:hi] = (
-                gemm(plan.m2_blocks[doc], rows, gemm_mode)
-                .reshape(hi - lo, width, k)
-                .transpose(0, 2, 1)
+    m_max = plan.groups[-1].width
+    for group in plan.groups:
+        m_i, step = group.width, m_max // group.width
+        cols = slice(group.first_col, group.first_col + m_i * group.n_docs)
+        keep = group.live_cols if skip_unread_cols else m_i
+        m2 = plan.m2_blocks[group.doc][:keep]
+        rows = work[cols].reshape(-1, m_i, width * k)
+        blocks = out[cols].reshape(-1, m_i, k, width)
+        blocks[:, keep:] = 0
+        for lo in range(0, group.n_docs, step):
+            blocks[lo : lo + step, :keep] = (
+                gemm(m2, rows[lo : lo + step], gemm_mode)
+                .reshape(-1, keep, width, k)
+                .transpose(0, 1, 3, 2)
             )
     return out.swapaxes(0, 1).reshape(grid.shape)
 
@@ -259,33 +311,38 @@ def convolve(
     transform via real-to-complex packing; ``fused=False`` keeps a
     two-transform reference path whose spectra come straight from separate
     forward passes.  Both run the same paired inverse, which takes adjacent
-    channels through one complex transform (see the module notes).  Both
-    produce the causal linear convolution truncated to each document's
-    original length, re-embedded in the padded buffer with zero tails.
+    channels through one complex transform, and both skip the causal
+    padding inside their GEMMs (see the module notes).  Both produce the
+    causal linear convolution truncated to each document's original length,
+    re-embedded in the padded buffer with zero tails.
     """
     _check_mode(gemm_mode)
     _check_convolution_args(plan.layout, x, bank)
 
     # Each intermediate is dropped once the next stage holds its result, to
-    # keep peak memory down.
+    # keep peak memory down.  Both inputs are zero at and past each
+    # document's length (PackedSignal checks the tails, embed_filter keeps
+    # at most L_i taps), so the forward skips the grid rows past them.
     taps_grid = embed_filter(plan.layout, bank)
     if fused:
         packed = np.empty(x.values.shape, dtype=np.complex128)
         packed.real = x.values
         packed.imag = taps_grid
         del taps_grid
-        spectrum = transform_grid(plan, plan.p1.apply(packed), gemm_mode)
+        grid = plan.p1.apply(packed)
         del packed
+        spectrum = transform_grid(plan, grid, gemm_mode, skip_zero_rows=True)
+        del grid
         batch_hat, filter_hat = split_dual_real(plan, spectrum)
         del spectrum
     else:
-        batch_hat = transform_grid(
-            plan, plan.p1.apply(x.values.astype(np.complex128)), gemm_mode
-        )
-        filter_hat = transform_grid(
-            plan, plan.p1.apply(taps_grid.astype(np.complex128)), gemm_mode
-        )
+        grid = plan.p1.apply(x.values.astype(np.complex128))
+        batch_hat = transform_grid(plan, grid, gemm_mode, skip_zero_rows=True)
+        del grid
+        grid = plan.p1.apply(taps_grid.astype(np.complex128))
         del taps_grid
+        filter_hat = transform_grid(plan, grid, gemm_mode, skip_zero_rows=True)
+        del grid
 
     counting.add_complex_muls(batch_hat.size, real_muls_each=4)
     product = np.multiply(batch_hat, filter_hat, out=batch_hat)
@@ -293,8 +350,11 @@ def convolve(
 
     paired = _pair_channels(product)
     del product
-    out_grid = transform_grid(plan, plan.pre_ifft.apply(paired), gemm_mode)
+    # Only times t < L_i are kept, so the inverse skips the columns past them.
+    grid = plan.pre_ifft.apply(paired)
     del paired
+    out_grid = transform_grid(plan, grid, gemm_mode, skip_unread_cols=True)
+    del grid
 
     # The inverse gives L_i' * (y_a + i*y_b): its float64 view holds the real
     # outputs in channel order, column-major, and is scaled in place.

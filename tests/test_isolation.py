@@ -13,23 +13,25 @@ from rubiconv import (
     convolve,
     ct_convolve,
 )
+from rubiconv.linalg import GEMM_MODES
 from rubiconv.packing import _span_positions
 
 
 def _variants(lengths, filter_len, k):
     plan = build_plan(lengths, filter_len, k)
     ct_layout = build_ct_layout(lengths, filter_len)
-    return {
-        "grid-fused": (
+    variants = {
+        f"grid-{'fused' if fused else 'unfused'}-{mode}": (
             plan.layout,
-            lambda sig, bank: convolve(plan, sig, bank, fused=True),
-        ),
-        "grid-unfused": (
-            plan.layout,
-            lambda sig, bank: convolve(plan, sig, bank, fused=False),
-        ),
-        "ct": (ct_layout, lambda sig, bank: ct_convolve(sig, bank, ct_layout)),
+            lambda sig, bank, fused=fused, mode=mode: convolve(
+                plan, sig, bank, fused=fused, gemm_mode=mode
+            ),
+        )
+        for fused in (True, False)
+        for mode in GEMM_MODES
     }
+    variants["ct"] = (ct_layout, lambda sig, bank: ct_convolve(sig, bank, ct_layout))
+    return variants
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -134,3 +134,26 @@ def test_gemm_stacked_right_operand(mode):
 def test_gemm_rejects_stacked_left_operand():
     with pytest.raises(ValueError):
         gemm(np.ones((2, 2, 2)), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("mode", ["standard", "karatsuba"])
+def test_gemm_out_receives_the_product_with_the_same_counts(mode):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    b = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    stacked = rng.standard_normal((2, 3, 4, 5)) + 1j * rng.standard_normal((2, 3, 4, 5))
+    for left, right in ((a, b.T), (np.asfortranarray(a), b.T), (a[::2], stacked[..., ::2])):
+        with count_ops() as returned:
+            expected = gemm(left, right, mode)
+        out = np.full(expected.shape, np.nan + 0j)
+        with count_ops() as written:
+            assert gemm(left, right, mode, out=out) is out
+        assert np.array_equal(out, expected)
+        assert written == returned
+
+
+def test_gemm_rejects_an_out_it_cannot_write():
+    a, b = np.ones((3, 4), complex), np.ones((4, 5), complex)
+    for out in (np.empty((3, 4), complex), np.empty((5, 3), complex).T, np.empty((3, 5))):
+        with pytest.raises(ValueError):
+            gemm(a, b, out=out)

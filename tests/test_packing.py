@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_doc_lengths
 from rubiconv import build_ct_layout, build_layout
-from rubiconv.packing import IndexMap, build_p1, build_p2, build_pre_ifft_map
+from rubiconv.packing import IndexMap, build_p1, build_p2, build_pre_ifft_map, width_groups
 
 
 def test_layout_single_doc_padding():
@@ -74,6 +74,27 @@ def test_layout_invariants_random():
         widths = np.asarray(layout.cols_per_doc)[grid_order]
         assert np.all(np.diff(widths) >= 0)
         assert np.all((np.diff(widths) > 0) | (np.diff(grid_order) > 0))
+
+
+def test_width_groups_tile_the_grid_and_bound_each_document():
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        k = int(rng.choice([1, 2, 4, 16, 256]))
+        layout = build_layout(random_doc_lengths(rng), int(rng.choice([1, 7, 64, 512])), k)
+        groups = width_groups(layout)
+        assert [g.width for g in groups] == sorted({g.width for g in groups})
+        col = 0
+        for g in groups:
+            assert g.first_col == col == layout.col_offsets[g.doc]
+            col += g.n_docs * g.width
+            docs = [i for i, off in enumerate(layout.col_offsets) if g.first_col <= off < col]
+            assert len(docs) == g.n_docs and {layout.cols_per_doc[i] for i in docs} == {g.width}
+            lengths = [layout.doc_lengths[i] for i in docs]
+            # Row-major, position t < L_i sits in row t // m; column-major
+            # (the transformed grid), in column t // k.
+            assert g.live_rows == max(-(-n // g.width) for n in lengths) <= k
+            assert g.live_cols == max(-(-n // k) for n in lengths) <= g.width
+        assert col == layout.total_cols
 
 
 def test_layout_monotone_in_document_length():

@@ -15,7 +15,18 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import oracle_matrix, random_documents, rel_err  # noqa: E402
-from rubiconv import FilterBank, PackedSignal, build_plan, convolve, forward, inverse, naive_dft  # noqa: E402
+from rubiconv import (  # noqa: E402
+    FilterBank,
+    PackedSignal,
+    build_plan,
+    convolve,
+    count_ops,
+    forward,
+    inverse,
+    naive_dft,
+)
+from rubiconv.linalg import GEMM_MODES  # noqa: E402
+from rubiconv.transform import convolve_cmuls  # noqa: E402
 
 BOUNDED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 INTERLEAVED = ([1, 70, 1, 33, 70, 2, 1], 9, 8, 3, 0)
@@ -67,6 +78,37 @@ def test_perturbing_one_document_leaves_the_others_bit_identical(case):
     span = layout.padded_lengths[target]
     assert np.array_equal(base[:off], moved[:off])
     assert np.array_equal(base[off + span :], moved[off + span :])
+
+
+@BOUNDED
+@given(packings())
+@example(INTERLEAVED)
+def test_perturbing_a_suffix_leaves_earlier_outputs_and_other_documents(case):
+    plan, sig, bank, rng = _signal_and_bank(case)
+    layout = plan.layout
+    target = int(rng.integers(layout.n_docs))
+    off, length = layout.pos_offsets[target], layout.doc_lengths[target]
+    cut = int(rng.integers(length))
+    values = sig.values.copy()
+    values[off + cut : off + length] += rng.standard_normal((length - cut, sig.channels))
+    base = convolve(plan, sig, bank).values
+    moved = convolve(plan, PackedSignal(values, layout), bank).values
+    drift = np.abs(moved[off : off + cut] - base[off : off + cut])
+    assert np.max(drift, initial=0.0) <= 1e-12 * np.max(np.abs(base))
+    span = layout.padded_lengths[target]
+    assert np.array_equal(base[:off], moved[:off])
+    assert np.array_equal(base[off + span :], moved[off + span :])
+
+
+@BOUNDED
+@given(packings())
+@example(INTERLEAVED)
+def test_counted_convolve_matches_convolve_cmuls(case):
+    plan, sig, bank, _ = _signal_and_bank(case)
+    for mode in GEMM_MODES:
+        with count_ops() as counts:
+            convolve(plan, sig, bank, gemm_mode=mode)
+        assert counts.complex_muls == convolve_cmuls(plan.layout, sig.channels)
 
 
 @BOUNDED

@@ -329,6 +329,43 @@ def test_block_stage_runs_capped_stacks_per_width(monkeypatch):
     assert max(math.prod(s) for s in operands) <= m_max * channels * k
 
 
+def _group_local_cols(plan):
+    """(group, local column) of every grid column."""
+    return [(g, c) for g in plan.groups for _ in range(g.n_docs) for c in range(g.width)]
+
+
+def _pruning_cases():
+    rng = np.random.default_rng(17)
+    for k in (1, 4, 16, 64):
+        lengths = random_doc_lengths(rng, max_docs=8, max_len=90)
+        plan = build_plan(lengths, filter_len=int(rng.choice([3, 200])), k=k)
+        shape = (k, plan.layout.total_cols, int(rng.choice([1, 3])))
+        yield plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("mode", ["standard", "karatsuba"])
+def test_skip_zero_rows_never_reads_rows_past_the_live_ones(mode):
+    for plan, grid in _pruning_cases():
+        zeroed, poisoned = grid.copy(), grid.copy()
+        for col, (group, _) in enumerate(_group_local_cols(plan)):
+            zeroed[group.live_rows :, col] = 0
+            poisoned[group.live_rows :, col] = np.nan
+        expected = transform_grid(plan, zeroed, mode)
+        got = transform_grid(plan, poisoned, mode, skip_zero_rows=True)
+        assert np.all(np.isfinite(got))
+        assert rel_err(got, expected) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["standard", "karatsuba"])
+def test_skip_unread_cols_zeroes_exactly_the_columns_past_the_live_ones(mode):
+    for plan, grid in _pruning_cases():
+        expected = transform_grid(plan, grid, mode)
+        got = transform_grid(plan, grid, mode, skip_unread_cols=True)
+        live = np.array([c < g.live_cols for g, c in _group_local_cols(plan)])
+        assert np.all(got[:, ~live] == 0)
+        assert rel_err(got[:, live], expected[:, live]) <= 1e-12
+
+
 def test_fused_matches_unfused_reference_path():
     rng = np.random.default_rng(13)
     for _ in range(10):
