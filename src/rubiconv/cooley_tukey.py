@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import counting
-from .packing import _causal_spans
+from .packing import _causal_spans, _span_scale
 from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
 
 
@@ -188,12 +188,8 @@ def masked_fft(y: np.ndarray, layout: CtLayout) -> np.ndarray:
 def ct_inverse(y: np.ndarray, layout: CtLayout) -> np.ndarray:
     """Inverse packed transform: conj(masked_fft(conj(y))) / span_length."""
     out = np.conj(masked_fft(np.conj(np.asarray(y, dtype=np.complex128)), layout))
-    scale = np.repeat(
-        1.0 / np.asarray(layout.pow2_lengths, dtype=np.float64),
-        np.asarray(layout.pow2_lengths),
-    )
     counting.add_real_muls(2 * out.size)
-    return out * scale.reshape((-1,) + (1,) * (out.ndim - 1))
+    return out * _span_scale(layout).reshape((-1,) + (1,) * (out.ndim - 1))
 
 
 def ct_convolve(x: PackedSignal, bank: FilterBank, layout: CtLayout) -> PackedSignal:
@@ -210,9 +206,5 @@ def ct_convolve(x: PackedSignal, bank: FilterBank, layout: CtLayout) -> PackedSi
     product = x_hat * f_hat
 
     inv = masked_fft(np.conj(product), layout)
-    scale = np.repeat(
-        1.0 / np.asarray(layout.pow2_lengths, dtype=np.float64),
-        np.asarray(layout.pow2_lengths),
-    )
     counting.add_real_muls(inv.size)
-    return PackedSignal._from_output(inv.real * scale[:, None], layout)
+    return PackedSignal._from_output(inv.real * _span_scale(layout)[:, None], layout)

@@ -14,13 +14,15 @@ columns, which the transform's block stage runs as a few stacked GEMMs.
 ``width_groups`` lists those runs, each with the rows and columns past
 which its documents hold only causal padding.
 
-Data moves between the buffer and the grid through three gathers: ``p1``
-loads the buffer row-major per document block, ``pre_ifft`` reorders a
-spectrum from column-major to row-major frequency order, and ``p2`` unloads
-the grid column-major per block, whole padded spans included.  Each is an
-``IndexMap`` holding one source index per destination element, so applying
-it is a single ``take``, and the column order costs nothing at run time.
-Building them is linear in the grid size, with no per-document Python loop.
+Data moves between the buffer and the grid through three gathers.  ``p1``
+loads the buffer row-major per document block.  A transformed grid is
+cell-major: an (m_total, k) array whose column c is one contiguous row, so
+each document's spectrum is one contiguous run in natural frequency order.
+``pre_ifft`` loads such a spectrum row-major per block, as ``p1`` loads
+the buffer, and ``p2`` copies each document's run into its whole padded
+span.  Each is an ``IndexMap`` holding one source index per destination
+element, so applying it is a single ``take``.  Building them is linear in
+the grid size, with no per-document Python loop.
 """
 
 from __future__ import annotations
@@ -105,14 +107,8 @@ class IndexMap:
                 f"got {values.shape}"
             )
         tail = values.shape[lead:]
-        src = self.src_flat
-        if lead == 2 and not values.flags.c_contiguous and values.swapaxes(0, 1).flags.c_contiguous:
-            # A column-major grid: gather from its memory in place.
-            rows, cols = np.divmod(src, self.src_shape[1])
-            src = cols * self.src_shape[0] + rows
-            values = values.swapaxes(0, 1)
         flat = values.reshape((math.prod(self.src_shape),) + tail)
-        return flat.take(src, axis=0).reshape(self.dst_shape + tail)
+        return flat.take(self.src_flat, axis=0).reshape(self.dst_shape + tail)
 
 
 def _causal_spans(
@@ -214,6 +210,12 @@ def _span_positions(starts: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     return np.asarray(starts, dtype=np.int64)[owner] + local
 
 
+def _span_scale(layout) -> np.ndarray:
+    """1 / span length at every position of a packed buffer (the span protocol)."""
+    lengths = np.asarray(layout.span_lengths, dtype=np.int64)
+    return np.repeat(1.0 / lengths, lengths)
+
+
 def _column_geometry(layout: PackedLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per grid column: its document, the block's first column, local index, width m_i."""
     offsets = np.asarray(layout.col_offsets, dtype=np.int64)
@@ -224,50 +226,50 @@ def _column_geometry(layout: PackedLayout) -> tuple[np.ndarray, np.ndarray, np.n
     return doc, offsets[doc], local, widths[doc]
 
 
+def _row_major_load(
+    layout: PackedLayout, starts: Sequence[int], src_shape: tuple[int, ...]
+) -> IndexMap:
+    """Fill each document's column block row-major from its run at starts[i].
+
+    grid[r, col_offsets[i] + c] = source[starts[i] + r * m_i + c].
+    """
+    doc, _, local, width = _column_geometry(layout)
+    start = np.asarray(starts, dtype=np.int64)[doc]
+    rows = np.arange(layout.k, dtype=np.int64)[:, None]
+    src = (rows * width + start + local).ravel()
+    counting.add_built_elements(len(src))
+    return IndexMap(src_shape, (layout.k, layout.total_cols), src)
+
+
 def build_p1(layout: PackedLayout) -> IndexMap:
     """Load map: packed padded vector -> k x m_total grid.
 
     Document i's padded span fills its column block in row-major order:
     grid[r, col_offsets[i] + c] = x[pos_offsets[i] + r * m_i + c].
     """
-    doc, _, local, width = _column_geometry(layout)
-    start = np.asarray(layout.pos_offsets, dtype=np.int64)[doc]
-    rows = np.arange(layout.k, dtype=np.int64)[:, None]
-    src = (rows * width + start + local).ravel()
-    counting.add_built_elements(len(src))
-    return IndexMap((layout.total_padded,), (layout.k, layout.total_cols), src)
+    return _row_major_load(layout, layout.pos_offsets, (layout.total_padded,))
 
 
 def build_p2(layout: PackedLayout) -> IndexMap:
-    """Unload map: grid -> packed vector, column-major per document block.
+    """Unload map: cell-major grid -> packed vector.
 
-    Each document block is flattened in column-major order into its whole
-    padded span, padding tail included; callers that need zero tails clear
-    them afterwards.  Position pos_offsets[i] + c * k + r comes from cell
-    (r, col_offsets[i] + c).
+    Document i's run of k * m_i cells fills its whole padded span, padding
+    tail included; callers that need zero tails clear them afterwards.
+    Position pos_offsets[i] + j comes from flat cell k * col_offsets[i] + j.
     """
-    # Grid column of each k-position run of the buffer, in buffer order.
-    owner, local = _doc_index(layout.cols_per_doc)
-    cols = np.asarray(layout.col_offsets, dtype=np.int64)[owner] + local
-    rows = np.arange(layout.k, dtype=np.int64) * layout.total_cols
-    src = (cols[:, None] + rows).ravel()
+    src = _span_positions(np.multiply(layout.k, layout.col_offsets), layout.padded_lengths)
     counting.add_built_elements(len(src))
-    return IndexMap((layout.k, layout.total_cols), (layout.total_padded,), src)
+    return IndexMap((layout.total_cols, layout.k), (layout.total_padded,), src)
 
 
 def build_pre_ifft_map(layout: PackedLayout) -> IndexMap:
-    """Reorder a transformed grid from column-major to row-major frequency order.
+    """Load a cell-major spectrum onto the grid, row-major per block.
 
-    The forward grid transform leaves document i's frequency f at cell
-    (f mod k, offset_i + f // k).  Feeding the inverse (another forward
+    Frequency f of document i sits at flat cell k * col_offsets[i] + f of
+    the forward transform's output.  Feeding the inverse (another forward
     transform on conjugated data) requires frequencies laid out row-major,
-    at cell (f // m_i, offset_i + f mod m_i).  This map moves each cell
-    accordingly, independently per document block.
+    at grid cell (f // m_i, col_offsets[i] + f mod m_i): the load ``p1``
+    does, reading from the cell-major run instead of the padded span.
     """
-    m_total = layout.total_cols
-    _, first, local, width = _column_geometry(layout)
-    # Destination cell (r, c) holds frequency f = r * m_i + local column.
-    f = np.arange(layout.k, dtype=np.int64)[:, None] * width + local
-    src = ((f % layout.k) * m_total + first + f // layout.k).ravel()
-    counting.add_built_elements(len(src))
-    return IndexMap((layout.k, m_total), (layout.k, m_total), src)
+    starts = np.multiply(layout.k, layout.col_offsets)
+    return _row_major_load(layout, starts, (layout.total_cols, layout.k))

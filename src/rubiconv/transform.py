@@ -9,19 +9,21 @@ m_i-point DFT matrix.  Because the second DFT is block-diagonal over
 document column blocks, no stage ever mixes documents, and all heavy work
 is dense GEMM.
 
-The block stage runs column-major, on an (m_total, D, k) array in which
-grid column c is one contiguous row, so each document owns contiguous
-rows.  The k-point GEMM writes that layout directly: M1 is symmetric, so
-grid^T @ M1 is the transposed product.  The twiddle is applied in place.
-The grid's column blocks are sorted by width (see ``packing``), so all
-documents of width m_i form one contiguous (n_i, m_i, D*k) slab, and their
-m_i-point DFTs run as stacked GEMMs on views of it, with no copy in.  Each
-GEMM stacks at most m_max // m_i documents, m_max being the widest
-document's width, so no temporary is larger than one block of the widest
-document.  Results are copied out with the channels last, into
-(m_total, k, D) memory, and the grid is handed back as a (k, m_total, D)
-view of it.  The dual-real split and the index maps read that
-column-major memory directly.  Twiddles and DFT matrices depend only on a
+The block stage runs on an (m_total, D, k) array in which grid column c is
+one contiguous row, so each document owns contiguous rows.  The k-point
+GEMM writes that layout directly: M1 is symmetric, so grid^T @ M1 is the
+transposed product.  The twiddle is applied in place.  The grid's column
+blocks are sorted by width (see ``packing``), so all documents of width
+m_i form one contiguous (n_i, m_i, D*k) slab, and their m_i-point DFTs run
+as stacked GEMMs on views of it, with no copy in.  Each GEMM stacks at
+most m_max // m_i documents, m_max being the widest document's width, so
+no temporary is larger than one block of the widest document.  Results
+are copied out with the channels last, into the (m_total, k, D) array
+that ``transform_grid`` returns.  In this cell-major spectrum, frequency
+f = b * k + a of document i sits in cell (col_offsets[i] + b, a), so each
+document's spectrum is one contiguous run in natural frequency order.
+The dual-real split, the product, the channel pairing and the index maps
+all read it as it is.  Twiddles and DFT matrices depend only on a
 document's width m_i, so the plan builds one of each per distinct width
 and documents of equal width share them.
 
@@ -73,13 +75,14 @@ from typing import Sequence
 import numpy as np
 
 from . import counting
-from .linalg import GEMM_MODES, dft_matrix, gemm
+from .linalg import dft_matrix, gemm
 from .packing import (
     DEFAULT_K,
     IndexMap,
     PackedLayout,
     WidthGroup,
     _column_geometry,
+    _span_scale,
     build_layout,
     build_p1,
     build_p2,
@@ -104,8 +107,8 @@ class RubiConvPlan:
     m2_blocks: tuple[np.ndarray, ...]  # (m_i, m_i) second-stage DFTs, one array per width
     groups: tuple[WidthGroup, ...]  # the grid's width groups, with their live rows and columns
     p1: IndexMap  # packed vector -> grid, row-major per block
-    pre_ifft: IndexMap  # column-major -> row-major frequency reorder
-    p2: IndexMap  # grid -> packed vector, column-major per block, whole padded spans
+    pre_ifft: IndexMap  # cell-major spectrum -> grid, row-major per block
+    p2: IndexMap  # cell-major grid -> packed vector, whole padded spans
     inv_scale: np.ndarray  # (m_total,), 1 / L_i' for each column of document i
     rev_cols_first: np.ndarray  # (m_total,) column holding frequency -f, for grid row 0
     rev_cols_rest: np.ndarray  # (m_total,) the same for rows a > 0, whose row is k - a
@@ -190,11 +193,6 @@ def _freeze(array: np.ndarray) -> None:
         array = array.base
 
 
-def _check_mode(gemm_mode: str) -> None:
-    if gemm_mode not in GEMM_MODES:
-        raise ValueError(f"unknown gemm mode {gemm_mode!r}, expected one of {GEMM_MODES}")
-
-
 def transform_grid(
     plan: RubiConvPlan,
     grid: np.ndarray,
@@ -205,11 +203,12 @@ def transform_grid(
 ) -> np.ndarray:
     """Run the three frequency stages on an already loaded grid.
 
-    Input cells hold document values row-major per block; output cell (a, b)
-    of document i holds frequency b_local * k + a of its padded-length DFT.
-    The output is a view of column-major memory (see the module notes).
-    Input in C order, or held in (m_total, D, k) memory, is read without a
-    copy; any other layout is copied once.
+    Input cells hold document values row-major per block.  The output is
+    the C-contiguous, cell-major (m_total, k, ...) array the block stage
+    writes: cell (col_offsets[i] + b, a) holds frequency b * k + a of
+    document i's padded-length DFT (see the module notes).  Input in C
+    order, or held in (m_total, D, k) memory, is read without a copy; any
+    other layout is copied once.
     The second DFT is applied to stacks of equal-width blocks, never as a
     dense matrix, so document blocks stay bit-level independent.
 
@@ -222,17 +221,13 @@ def transform_grid(
     columns and writes zeros into the rest.  Without them the transform is
     the full padded-length DFT.
     """
-    _check_mode(gemm_mode)
     grid = np.asarray(grid, dtype=np.complex128)
     layout = plan.layout
     k, m_total = layout.k, layout.total_cols
     if grid.shape[:2] != (k, m_total):
         raise ValueError(f"grid leading shape {grid.shape} does not match {(k, m_total)}")
     width = int(np.prod(grid.shape[2:], dtype=np.int64))
-    if grid.flags.c_contiguous:
-        cells = grid.reshape(k, m_total * width).T
-    else:
-        cells = np.moveaxis(grid, 0, -1).reshape(m_total * width, k)
+    cells = grid.reshape(k, m_total * width).T
 
     # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major.
     # Pruned, each width group contracts over its live rows only.
@@ -245,8 +240,8 @@ def transform_grid(
     counting.add_complex_muls(work.size, real_muls_each=4)
     work *= plan.twiddle.T[:, None, :]
     # Width groups are contiguous and run as capped stacks (see the module
-    # notes).  Results are copied out with channels last, so that a grid
-    # cell's channels are contiguous for the index maps that follow.
+    # notes).  Results are copied out with channels last, so that a cell's
+    # channels are contiguous for the stages that follow.
     out = np.empty((m_total, k, width), dtype=np.complex128)
     m_max = plan.groups[-1].width
     for group in plan.groups:
@@ -263,7 +258,7 @@ def transform_grid(
                 .reshape(-1, keep, width, k)
                 .transpose(0, 1, 3, 2)
             )
-    return out.swapaxes(0, 1).reshape(grid.shape)
+    return out.reshape((m_total, k) + grid.shape[2:])
 
 
 def forward(plan: RubiConvPlan, x: np.ndarray, gemm_mode: str = "standard") -> np.ndarray:
@@ -284,18 +279,10 @@ def forward(plan: RubiConvPlan, x: np.ndarray, gemm_mode: str = "standard") -> n
 
 def inverse(plan: RubiConvPlan, y: np.ndarray, gemm_mode: str = "standard") -> np.ndarray:
     """Invert ``forward`` through conjugation: ifft(y) = conj(fft(conj(y))) / L_i'."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape[0] != plan.layout.total_padded:
-        raise ValueError(
-            f"packed vector has {y.shape[0]} positions, plan expects "
-            f"{plan.layout.total_padded}"
-        )
-    # Loaded row-major per block, frequency f sits at cell (f // m_i, f mod m_i)
-    # of its block: the order the inverse's forward transform reads.
-    out = np.conj(transform_grid(plan, np.conj(plan.p1.apply(y)), gemm_mode))
+    out = np.conj(forward(plan, np.conj(y), gemm_mode))
     counting.add_real_muls(2 * out.size)
-    out *= plan.inv_scale.reshape((1, -1) + (1,) * (out.ndim - 2))
-    return plan.p2.apply(out)
+    out *= _span_scale(plan.layout).reshape((-1,) + (1,) * (out.ndim - 1))
+    return out
 
 
 def convolve(
@@ -316,7 +303,6 @@ def convolve(
     causal linear convolution truncated to each document's original length,
     re-embedded in the padded buffer with zero tails.
     """
-    _check_mode(gemm_mode)
     _check_convolution_args(plan.layout, x, bank)
 
     # Each intermediate is dropped once the next stage holds its result, to
@@ -353,17 +339,14 @@ def convolve(
     # Only times t < L_i are kept, so the inverse skips the columns past them.
     grid = plan.pre_ifft.apply(paired)
     del paired
-    out_grid = transform_grid(plan, grid, gemm_mode, skip_unread_cols=True)
-    del grid
-
     # The inverse gives L_i' * (y_a + i*y_b): its float64 view holds the real
-    # outputs in channel order, column-major, and is scaled in place.
-    time_cells = np.ascontiguousarray(out_grid.swapaxes(0, 1)).view(np.float64)
-    del out_grid
+    # outputs in channel order, and is scaled in place.
+    time_cells = transform_grid(plan, grid, gemm_mode, skip_unread_cols=True).view(np.float64)
+    del grid
     counting.add_real_muls(time_cells.size)
     time_cells *= plan.inv_scale[:, None, None]
 
-    values = plan.p2.apply(time_cells.swapaxes(0, 1))
+    values = plan.p2.apply(time_cells)
     del time_cells
     if values.shape[1] != x.channels:  # an odd D drops its zero partner
         values = np.ascontiguousarray(values[:, : x.channels])
@@ -374,23 +357,21 @@ def _pair_channels(product: np.ndarray) -> np.ndarray:
     """Inverse input conj(P_a) + i*conj(P_b) for channels a = 2j, b = 2j + 1.
 
     That is (a_r + b_i) + i*(b_r - a_i), built from the float64 view of the
-    product's column-major memory; an odd last channel is paired with zero,
-    giving conj(P_a).  Returns a (k, m_total, ceil(D/2)) view of
-    column-major memory.
+    cell-major product; an odd last channel is paired with zero, giving
+    conj(P_a).  Returns a cell-major (m_total, k, ceil(D/2)) array.
     """
     channels = product.shape[2]
     pairs = channels // 2
-    parts = np.ascontiguousarray(product.swapaxes(0, 1)).view(np.float64)
-    parts = parts.reshape(-1, channels, 2)
+    parts = product.view(np.float64).reshape(-1, channels, 2)
     a, b = parts[:, 0 : 2 * pairs : 2], parts[:, 1 : 2 * pairs : 2]
-    paired = np.empty(product.shape[1::-1] + (channels - pairs,), dtype=np.complex128)
+    paired = np.empty(product.shape[:2] + (channels - pairs,), dtype=np.complex128)
     q = paired.view(np.float64).reshape(-1, channels - pairs, 2)
     np.add(a[..., 0], b[..., 1], out=q[:, :pairs, 0])
     np.subtract(b[..., 0], a[..., 1], out=q[:, :pairs, 1])
     if channels % 2:
         q[:, pairs, 0] = parts[:, -1, 0]
         np.negative(parts[:, -1, 1], out=q[:, pairs, 1])
-    return paired.swapaxes(0, 1)
+    return paired
 
 
 def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,12 +380,11 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> tuple[np.ndarra
     Given the grid spectrum of z = b + i*f for real b and f, conjugate
     symmetry gives b_hat = (z + conj(z at -freq)) / 2 and
     f_hat = -i/2 * (z - conj(z at -freq)), where the negated-frequency
-    gather stays inside each document's column block.  It runs on the
-    column-major memory that ``transform_grid`` returns, with one gather of
-    whole cells; any other layout is copied once.  Both results are views of
-    column-major memory too.
+    gather stays inside each document's run.  It reads the cell-major
+    spectrum that ``transform_grid`` returns with one gather of whole cells,
+    and returns both spectra in the same layout.
     """
-    z = np.ascontiguousarray(np.asarray(spectrum, dtype=np.complex128).swapaxes(0, 1))
+    z = np.asarray(spectrum, dtype=np.complex128)
     m_total, k = z.shape[:2]
     # Flat cell c*k + a holds frequency f; -f sits in cell
     # rev_cols_first[c]*k when a = 0 and rev_cols_rest[c]*k + k - a otherwise.
@@ -418,4 +398,4 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> tuple[np.ndarra
     batch_hat *= 0.5
     filter_hat = np.subtract(z, rev, out=rev)
     filter_hat *= -0.5j
-    return batch_hat.swapaxes(0, 1), filter_hat.swapaxes(0, 1)
+    return batch_hat, filter_hat

@@ -144,16 +144,20 @@ def test_p1_document_disjoint_columns():
             assert len(np.unique(grid_ids[:, col])) == 1
 
 
+# Spectra are cell-major, (m_total, k): grid cell (row r, column c) is
+# cells[c, r], so each document's k * m_i cells are one contiguous run.
+
+
 def test_p2_column_major_flatten():
     layout = build_layout([4], filter_len=1, k=2)  # grid 2x2, no truncation
-    grid = np.array([["a", "b"], ["c", "d"]], dtype=object)
-    assert list(build_p2(layout).apply(grid)) == ["a", "c", "b", "d"]
+    cells = np.array([["a", "c"], ["b", "d"]], dtype=object)  # grid [[a, b], [c, d]]
+    assert list(build_p2(layout).apply(cells)) == ["a", "c", "b", "d"]
 
 
 def test_p2_preserves_packing_order():
     layout = build_layout([2, 2], filter_len=1, k=2)
-    grid = np.array([[1.0, 10.0], [2.0, 20.0]])
-    assert np.array_equal(build_p2(layout).apply(grid), [1.0, 2.0, 10.0, 20.0])
+    cells = np.array([[1.0, 2.0], [10.0, 20.0]])  # grid [[1, 10], [2, 20]]
+    assert np.array_equal(build_p2(layout).apply(cells), [1.0, 2.0, 10.0, 20.0])
 
 
 def test_p2_full_lengths_is_blockwise_column_major_bijection():
@@ -162,28 +166,28 @@ def test_p2_full_lengths_is_blockwise_column_major_bijection():
         lengths = random_doc_lengths(rng, max_docs=6, max_len=40)
         layout = build_layout(lengths, filter_len=5, k=4)
         full = build_p2(layout)
-        grid = rng.standard_normal((layout.k, layout.total_cols))
-        unloaded = full.apply(grid)
+        cells = rng.standard_normal((layout.total_cols, layout.k))
+        unloaded = full.apply(cells)
         for off_pos, off_col, m, padded in zip(
             layout.pos_offsets, layout.col_offsets, layout.cols_per_doc, layout.padded_lengths
         ):
-            block = grid[:, off_col : off_col + m]
-            assert np.array_equal(unloaded[off_pos : off_pos + padded], block.T.ravel())
+            block = cells[off_col : off_col + m]
+            assert np.array_equal(unloaded[off_pos : off_pos + padded], block.ravel())
 
 
 def test_pre_ifft_identity_for_single_column_blocks():
     layout = build_layout([4], filter_len=1, k=4)  # m_i = 1
-    grid = np.arange(4.0).reshape(4, 1)
-    assert np.array_equal(build_pre_ifft_map(layout).apply(grid), grid)
+    cells = np.arange(4.0).reshape(1, 4)
+    assert np.array_equal(build_pre_ifft_map(layout).apply(cells), cells.T)
 
 
 def test_pre_ifft_two_by_two_example():
-    # Source (u, v) = (1, 2) 1-indexed carries f = 2, landing at (2, 1).
+    # Source grid cell (u, v) = (1, 2) 1-indexed carries f = 2, landing at (2, 1).
     layout = build_layout([3], filter_len=2, k=2)
     m = build_pre_ifft_map(layout)
-    grid = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = m.apply(grid)
-    assert out[1, 0] == grid[0, 1]
+    cells = np.array([[1.0, 3.0], [2.0, 4.0]])  # grid [[1, 2], [3, 4]]
+    out = m.apply(cells)
+    assert out[1, 0] == cells[1, 0]
 
 
 def test_pre_ifft_matches_one_indexed_listing_formulas():
@@ -193,8 +197,8 @@ def test_pre_ifft_matches_one_indexed_listing_formulas():
         k = int(rng.choice([1, 2, 4, 8]))
         layout = build_layout(lengths, filter_len=4, k=k)
         mapped = build_pre_ifft_map(layout)
-        grid = rng.standard_normal((k, layout.total_cols))
-        out = mapped.apply(grid)
+        cells = rng.standard_normal((layout.total_cols, k))
+        out = mapped.apply(cells)
         for off_col, m_i in zip(layout.col_offsets, layout.cols_per_doc):
             c_start = off_col + 1
             for u in range(1, k + 1):
@@ -204,7 +208,7 @@ def test_pre_ifft_matches_one_indexed_listing_formulas():
                     u_dst = f // m_i + 1
                     v_dst = f % m_i + 1
                     c_dst = c_start + v_dst - 1
-                    assert out[u_dst - 1, c_dst - 1] == grid[u - 1, c - 1]
+                    assert out[u_dst - 1, c_dst - 1] == cells[c - 1, u - 1]
 
 
 def test_pre_ifft_is_a_permutation_of_each_block():

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import rubiconv.packing
 import rubiconv.transform
 from conftest import oracle_matrix, random_doc_lengths, random_documents, rel_err
 from rubiconv import (
@@ -362,8 +363,8 @@ def test_skip_unread_cols_zeroes_exactly_the_columns_past_the_live_ones(mode):
         expected = transform_grid(plan, grid, mode)
         got = transform_grid(plan, grid, mode, skip_unread_cols=True)
         live = np.array([c < g.live_cols for g, c in _group_local_cols(plan)])
-        assert np.all(got[:, ~live] == 0)
-        assert rel_err(got[:, live], expected[:, live]) <= 1e-12
+        assert np.all(got[~live] == 0)
+        assert rel_err(got[live], expected[live]) <= 1e-12
 
 
 def test_fused_matches_unfused_reference_path():
@@ -390,6 +391,51 @@ def test_karatsuba_mode_matches_standard():
     a = convolve(plan, sig, bank, gemm_mode="karatsuba")
     b = convolve(plan, sig, bank)
     assert rel_err(a.values, b.values) <= 1e-12
+
+
+def test_unknown_gemm_mode_rejected_by_every_pipeline():
+    plan = build_plan([5, 9, 2], filter_len=4, k=4)
+    n = plan.layout.total_padded
+    sig = PackedSignal.from_documents(plan.layout, [np.ones((length, 2)) for length in (5, 9, 2)])
+    bank = FilterBank(np.ones((4, 2)))
+    calls = (
+        lambda: forward(plan, np.ones(n), gemm_mode="strassen"),
+        lambda: inverse(plan, np.ones(n), gemm_mode="strassen"),
+        lambda: convolve(plan, sig, bank, gemm_mode="strassen"),
+        lambda: convolve(plan, sig, bank, fused=False, gemm_mode="strassen"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown gemm mode 'strassen'"):
+            call()
+
+
+def test_spectra_are_cell_major_and_maps_read_c_order(monkeypatch):
+    # transform_grid hands back the (m_total, k, D) array it writes, and
+    # every gather reads its input as it is, with no layout translation.
+    rng = np.random.default_rng(18)
+    lengths = [7, 40, 1, 19]
+    plan = build_plan(lengths, filter_len=8, k=4)
+    m_total, k = plan.layout.total_cols, plan.k
+    assert plan.pre_ifft.src_shape == plan.p2.src_shape == (m_total, k)
+    spectrum = transform_grid(plan, rng.standard_normal((k, m_total, 3)) + 0j)
+    assert spectrum.shape == (m_total, k, 3) and spectrum.flags.c_contiguous
+
+    inputs = []
+    apply = rubiconv.packing.IndexMap.apply
+
+    def recording(index_map, values):
+        inputs.append(values)
+        return apply(index_map, values)
+
+    monkeypatch.setattr(rubiconv.packing.IndexMap, "apply", recording)
+    sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, 3))
+    bank = FilterBank(rng.standard_normal((8, 3)))
+    for fused in (True, False):
+        convolve(plan, sig, bank, fused=fused)
+    x = rng.standard_normal((plan.layout.total_padded, 3)) + 0j
+    inverse(plan, forward(plan, x))
+    assert len(inputs) == 3 + 4 + 2 + 2  # fused, unfused, forward, inverse
+    assert all(values.flags.c_contiguous for values in inputs)
 
 
 def test_convolve_channel_mismatch_rejected():
