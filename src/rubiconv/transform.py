@@ -17,9 +17,10 @@ blocks are sorted by width (see ``packing``), so all documents of width
 m_i form one contiguous (n_i, m_i, D*k) slab, and their m_i-point DFTs run
 as stacked GEMMs on views of it, with no copy in.  Each GEMM stacks at
 most m_max // m_i documents, m_max being the widest document's width, so
-no temporary is larger than one block of the widest document.  Results
-are copied out with the channels last, into the (m_total, k, D) array
-that ``transform_grid`` returns.  In this cell-major spectrum, frequency
+no temporary is larger than one block of the widest document.  Each
+stack's result is written back, with the channels last, into the memory
+its documents held, and that array, read as (m_total, k, D), is what
+``transform_grid`` returns.  In this cell-major spectrum, frequency
 f = b * k + a of document i sits in cell (col_offsets[i] + b, a), so each
 document's spectrum is one contiguous run in natural frequency order.
 The dual-real split, the product, the channel pairing and the index maps
@@ -29,11 +30,15 @@ and documents of equal width share them.
 
 The convolution entry point packs the real input and the real filter into
 one complex tensor (batch + i * filter), transforms once, recovers both
-spectra through conjugate symmetry, multiplies point-wise on the grid,
-reorders for the inverse, and reuses the forward kernel via
-ifft(x) = conj(fft(conj(x))) / n.  Zeroing each document's tail past its
-original length at the end removes the padding and leaves a strictly
-causal, boundary-respecting result.
+spectra through conjugate symmetry and multiplies them point-wise on the
+grid, reorders for the inverse, and reuses the forward kernel via
+ifft(x) = conj(fft(conj(x))) / n.  The split, the product and the channel
+pairing below run fused, per chunk of grid columns small enough to stay
+in a core's private cache, so the forward half holds at most two full
+complex arrays: the loaded grid and the spectrum during the forward, the
+spectrum and the half-width inverse input after it.  Zeroing each
+document's tail past its original length at the end removes the padding
+and leaves a strictly causal, boundary-respecting result.
 
 The inverse uses the outputs' realness too.  Each channel's product
 spectrum P is Hermitian within every document, so for adjacent channels
@@ -60,11 +65,11 @@ multiplications per channel.  A convolution over D channels counts
 
     D * (k * sum_w c_w r_w + k m_total + k * sum_i m_i^2)
       + ceil(D/2) * (k^2 m_total + k m_total + k * sum_i m_i b_w(i))
-      + 3 k m_total D
+      + 2 k m_total D
 
 complex multiplications: the pruned forward, the paired, pruned inverse,
-and per cell and channel two for the dual-real split and one for the
-product.
+and per cell and channel two for the fused split and product: the product
+(z + conj(z_rev)) (z - conj(z_rev)) and its scale by -i/4.
 """
 
 from __future__ import annotations
@@ -116,6 +121,26 @@ class RubiConvPlan:
     @property
     def k(self) -> int:
         return self.layout.k
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every distinct array the plan holds; a view counts as its base."""
+        bases = {}
+        for array in (
+            self.m1,
+            self.twiddle,
+            *self.m2_blocks,
+            self.p1.src_flat,
+            self.pre_ifft.src_flat,
+            self.p2.src_flat,
+            self.inv_scale,
+            self.rev_cols_first,
+            self.rev_cols_rest,
+        ):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            bases[id(array)] = array
+        return sum(array.nbytes for array in bases.values())
 
 
 def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) -> RubiConvPlan:
@@ -183,7 +208,7 @@ def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     live_blocks = k * sum(g.n_docs * g.width * g.live_cols for g in groups)
     forward = k_stage + k * m_total + blocks
     inverse = k * k * m_total + k * m_total + live_blocks
-    return channels * forward + (channels + 1) // 2 * inverse + 3 * k * m_total * channels
+    return channels * forward + (channels + 1) // 2 * inverse + 2 * k * m_total * channels
 
 
 def _freeze(array: np.ndarray) -> None:
@@ -240,9 +265,10 @@ def transform_grid(
     counting.add_complex_muls(work.size, real_muls_each=4)
     work *= plan.twiddle.T[:, None, :]
     # Width groups are contiguous and run as capped stacks (see the module
-    # notes).  Results are copied out with channels last, so that a cell's
-    # channels are contiguous for the stages that follow.
-    out = np.empty((m_total, k, width), dtype=np.complex128)
+    # notes).  Each stack's result goes back into the memory its documents
+    # held in ``work``, with channels last, so that a cell's channels are
+    # contiguous for the stages that follow.  The GEMM has already returned
+    # its own array, and no other stack reads those documents.
     m_max = plan.groups[-1].width
     for group in plan.groups:
         m_i, step = group.width, m_max // group.width
@@ -250,15 +276,17 @@ def transform_grid(
         keep = group.live_cols if skip_unread_cols else m_i
         m2 = plan.m2_blocks[group.doc][:keep]
         rows = work[cols].reshape(-1, m_i, width * k)
-        blocks = out[cols].reshape(-1, m_i, k, width)
-        blocks[:, keep:] = 0
+        blocks = work[cols].reshape(-1, m_i, k, width)
         for lo in range(0, group.n_docs, step):
-            blocks[lo : lo + step, :keep] = (
+            stack = blocks[lo : lo + step]
+            # One statement, so each GEMM result is freed before the next.
+            stack[:, :keep] = (
                 gemm(m2, rows[lo : lo + step], gemm_mode)
                 .reshape(-1, keep, width, k)
                 .transpose(0, 1, 3, 2)
             )
-    return out.reshape((m_total, k) + grid.shape[2:])
+            stack[:, keep:] = 0
+    return work.reshape((m_total, k) + grid.shape[2:])
 
 
 def forward(plan: RubiConvPlan, x: np.ndarray, gemm_mode: str = "standard") -> np.ndarray:
@@ -319,7 +347,7 @@ def convolve(
         del packed
         spectrum = transform_grid(plan, grid, gemm_mode, skip_zero_rows=True)
         del grid
-        batch_hat, filter_hat = split_dual_real(plan, spectrum)
+        paired = split_dual_real(plan, spectrum)
         del spectrum
     else:
         grid = plan.p1.apply(x.values.astype(np.complex128))
@@ -329,13 +357,12 @@ def convolve(
         del taps_grid
         filter_hat = transform_grid(plan, grid, gemm_mode, skip_zero_rows=True)
         del grid
-
-    counting.add_complex_muls(batch_hat.size, real_muls_each=4)
-    product = np.multiply(batch_hat, filter_hat, out=batch_hat)
-    del batch_hat, filter_hat
-
-    paired = _pair_channels(product)
-    del product
+        counting.add_complex_muls(batch_hat.size, real_muls_each=4)
+        product = np.multiply(batch_hat, filter_hat, out=batch_hat)
+        del batch_hat, filter_hat
+        paired = np.empty(product.shape[:2] + ((x.channels + 1) // 2,), dtype=np.complex128)
+        _pair_channels(product, paired)
+        del product
     # Only times t < L_i are kept, so the inverse skips the columns past them.
     grid = plan.pre_ifft.apply(paired)
     del paired
@@ -353,49 +380,62 @@ def convolve(
     return PackedSignal._from_output(values, plan.layout)
 
 
-def _pair_channels(product: np.ndarray) -> np.ndarray:
-    """Inverse input conj(P_a) + i*conj(P_b) for channels a = 2j, b = 2j + 1.
+def _pair_channels(product: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse input conj(P_a) + i*conj(P_b), channels a = 2j, b = 2j + 1.
 
     That is (a_r + b_i) + i*(b_r - a_i), built from the float64 view of the
-    cell-major product; an odd last channel is paired with zero, giving
-    conj(P_a).  Returns a cell-major (m_total, k, ceil(D/2)) array.
+    C-contiguous, cell-major product; an odd last channel is paired with
+    zero, giving conj(P_a).  ``out`` is a C-contiguous array of the
+    product's cells with ceil(D/2) channels.
     """
-    channels = product.shape[2]
+    channels = product.shape[-1]
     pairs = channels // 2
     parts = product.view(np.float64).reshape(-1, channels, 2)
     a, b = parts[:, 0 : 2 * pairs : 2], parts[:, 1 : 2 * pairs : 2]
-    paired = np.empty(product.shape[:2] + (channels - pairs,), dtype=np.complex128)
-    q = paired.view(np.float64).reshape(-1, channels - pairs, 2)
+    q = out.view(np.float64).reshape(-1, channels - pairs, 2)
     np.add(a[..., 0], b[..., 1], out=q[:, :pairs, 0])
     np.subtract(b[..., 0], a[..., 1], out=q[:, :pairs, 1])
     if channels % 2:
         q[:, pairs, 0] = parts[:, -1, 0]
         np.negative(parts[:, -1, 1], out=q[:, pairs, 1])
-    return paired
 
 
-def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the two real-signal spectra from one packed transform.
+# Bytes one chunk of ``split_dual_real`` works on, small enough to stay in a
+# core's private cache: per cell and channel, 16 of spectrum, 32 of
+# temporaries and 8 of half-width output.
+_SPLIT_CHUNK_BYTES = 1 << 20
 
-    Given the grid spectrum of z = b + i*f for real b and f, conjugate
-    symmetry gives b_hat = (z + conj(z at -freq)) / 2 and
-    f_hat = -i/2 * (z - conj(z at -freq)), where the negated-frequency
-    gather stays inside each document's run.  It reads the cell-major
-    spectrum that ``transform_grid`` returns with one gather of whole cells,
-    and returns both spectra in the same layout.
+
+def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> np.ndarray:
+    """Paired inverse input of b_hat * f_hat, from one packed transform.
+
+    Given the cell-major spectrum z of z = b + i*f for real b and f,
+    conjugate symmetry gives b_hat = (z + r) / 2 and f_hat = -i/2 * (z - r),
+    r being conj(z at -freq), a gather that stays inside each document's
+    run.  Their product is -(i/4) * (z + r)(z - r), and ``_pair_channels``
+    writes it as the inverse's input.  All of it runs per chunk of grid
+    columns sized to ``_SPLIT_CHUNK_BYTES``, so only the reads of z and
+    the writes of the result go to memory.  Returns the cell-major
+    (m_total, k, ceil(D/2)) array.
     """
     z = np.asarray(spectrum, dtype=np.complex128)
-    m_total, k = z.shape[:2]
-    # Flat cell c*k + a holds frequency f; -f sits in cell
-    # rev_cols_first[c]*k when a = 0 and rev_cols_rest[c]*k + k - a otherwise.
-    src = np.empty((m_total, k), dtype=np.int64)
-    np.multiply(plan.rev_cols_first, k, out=src[:, 0])
-    np.subtract((plan.rev_cols_rest * k + k)[:, None], np.arange(1, k), out=src[:, 1:])
-    rev = z.reshape(m_total * k, -1).take(src.ravel(), axis=0).reshape(z.shape)
-    np.conjugate(rev, out=rev)
+    m_total, k, channels = z.shape
+    paired = np.empty((m_total, k, channels - channels // 2), dtype=np.complex128)
+    step = max(1, _SPLIT_CHUNK_BYTES // (56 * k * channels))
+    rev_buf = np.empty((min(step, m_total), k, channels), dtype=np.complex128)
+    prod_buf = np.empty_like(rev_buf)
     counting.add_complex_muls(2 * z.size, real_muls_each=4)
-    batch_hat = z + rev
-    batch_hat *= 0.5
-    filter_hat = np.subtract(z, rev, out=rev)
-    filter_hat *= -0.5j
-    return batch_hat, filter_hat
+    for lo in range(0, m_total, step):
+        hi = min(lo + step, m_total)
+        zc, r, p = z[lo:hi], rev_buf[: hi - lo], prod_buf[: hi - lo]
+        # Cell (c, a) holds frequency f; -f sits in cell (rev_cols_first[c], 0)
+        # when a = 0 and in cell (rev_cols_rest[c], k - a) otherwise.
+        r[:, 0] = z[plan.rev_cols_first[lo:hi], 0]
+        r[:, 1:] = z[plan.rev_cols_rest[lo:hi], :0:-1]
+        np.conjugate(r, out=r)
+        np.add(zc, r, out=p)
+        np.subtract(zc, r, out=r)
+        p *= r
+        p *= -0.25j
+        _pair_channels(p, paired[lo:hi])
+    return paired

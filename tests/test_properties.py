@@ -3,8 +3,9 @@
 Packings draw document lengths whose grid widths interleave in document
 order (so the width-sorted grid really permutes column blocks), length-1
 documents, filters longer than every document, k = 1 and k larger than
-every document, and one or an odd number of channels.  Examples are
-derandomized, so a run is reproducible.
+every document, and one or an odd number of channels.  The radix-2 path
+draws the same packings and ignores k.  Examples are derandomized, so a
+run is reproducible.
 """
 
 import numpy as np
@@ -18,9 +19,11 @@ from conftest import oracle_matrix, random_documents, rel_err  # noqa: E402
 from rubiconv import (  # noqa: E402
     FilterBank,
     PackedSignal,
+    build_ct_layout,
     build_plan,
     convolve,
     count_ops,
+    ct_convolve,
     forward,
     inverse,
     naive_dft,
@@ -78,6 +81,28 @@ def test_perturbing_one_document_leaves_the_others_bit_identical(case):
     span = layout.padded_lengths[target]
     assert np.array_equal(base[:off], moved[:off])
     assert np.array_equal(base[off + span :], moved[off + span :])
+
+
+@BOUNDED
+@given(packings())
+@example(INTERLEAVED)
+def test_radix2_convolve_matches_oracle_and_isolates_documents(case):
+    lengths, filter_len, _, channels, seed = case
+    rng = np.random.default_rng(seed)
+    layout = build_ct_layout(lengths, filter_len)
+    sig = PackedSignal.from_documents(layout, random_documents(rng, lengths, channels))
+    bank = FilterBank(rng.standard_normal((filter_len, channels)))
+    base = ct_convolve(sig, bank, layout)
+    expected = oracle_matrix(lengths, sig.valid_values(), bank.taps)
+    assert rel_err(base.valid_values(), expected) <= 1e-8
+
+    target = int(rng.integers(layout.n_docs))
+    off, span = layout.span_offsets[target], layout.span_lengths[target]
+    values = sig.values.copy()
+    values[off : off + lengths[target]] += rng.standard_normal((lengths[target], channels))
+    moved = ct_convolve(PackedSignal(values, layout), bank, layout).values
+    assert np.array_equal(base.values[:off], moved[:off])
+    assert np.array_equal(base.values[off + span :], moved[off + span :])
 
 
 @BOUNDED

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rubiconv import (
     inverse,
     naive_dft,
 )
-from rubiconv.transform import split_dual_real, transform_grid
+from rubiconv.transform import _pair_channels, split_dual_real, transform_grid
 
 
 def forward_vs_naive_worst(plan, x):
@@ -262,20 +263,25 @@ def test_convolve_cross_document_bit_isolation():
     assert np.array_equal(base.documents()[2], out.documents()[2])
 
 
+def _paired_product(b_hat, f_hat):
+    product = b_hat * f_hat
+    paired = np.empty(product.shape[:2] + ((product.shape[2] + 1) // 2,), dtype=complex)
+    _pair_channels(product, paired)
+    return paired
+
+
 def test_dual_real_recovery_matches_separate_transforms():
     rng = np.random.default_rng(12)
     for _ in range(10):
         lengths = random_doc_lengths(rng, max_docs=6, max_len=48)
         plan = build_plan(lengths, filter_len=6, k=int(rng.choice([1, 4, 16])))
-        n = plan.layout.total_padded
-        b = rng.standard_normal(n)
-        f = rng.standard_normal(n)
-        spectrum = transform_grid(plan, plan.p1.apply(b + 1j * f))
-        b_hat, f_hat = split_dual_real(plan, spectrum)
+        shape = (plan.layout.total_padded, int(rng.choice([1, 2, 3])))
+        b = rng.standard_normal(shape)
+        f = rng.standard_normal(shape)
+        paired = split_dual_real(plan, transform_grid(plan, plan.p1.apply(b + 1j * f)))
         b_ref = transform_grid(plan, plan.p1.apply(b.astype(complex)))
         f_ref = transform_grid(plan, plan.p1.apply(f.astype(complex)))
-        assert rel_err(b_hat, b_ref) <= 1e-10
-        assert rel_err(f_hat, f_ref) <= 1e-10
+        assert rel_err(paired, _paired_product(b_ref, f_ref)) <= 1e-10
 
 
 def test_grid_stages_ignore_memory_layout():
@@ -294,11 +300,51 @@ def test_grid_stages_ignore_memory_layout():
             assert not view.flags.c_contiguous or plan.k == 1
             assert np.array_equal(transform_grid(plan, view), expected)
             spectrum = np.ascontiguousarray(expected.transpose(axes)).transpose(np.argsort(axes))
-            for got, want in zip(split_dual_real(plan, spectrum), expected_split):
-                assert np.array_equal(got, want)
+            assert not spectrum.flags.c_contiguous or plan.k == 1
+            assert np.array_equal(split_dual_real(plan, spectrum), expected_split)
         contiguous = np.ascontiguousarray(expected)
-        for got, want in zip(split_dual_real(plan, contiguous), expected_split):
-            assert np.array_equal(got, want)
+        assert np.array_equal(split_dual_real(plan, contiguous), expected_split)
+
+
+def test_split_chunks_of_one_column_match_a_single_chunk(monkeypatch):
+    # With a one-column budget every document of width m_i > 1 spans m_i
+    # chunks, and its frequency -f is gathered from another chunk.
+    rng = np.random.default_rng(17)
+    plan = build_plan([7, 40, 1, 19, 90], filter_len=8, k=4)
+    assert max(plan.layout.cols_per_doc) > 1
+    for channels in (1, 2, 5):
+        shape = (plan.layout.total_cols, plan.k, channels)
+        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", 1 << 40)
+        whole = split_dual_real(plan, spectrum)
+        monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", 1)
+        assert np.array_equal(split_dual_real(plan, spectrum), whole)
+
+
+@pytest.mark.parametrize(
+    "lengths, filter_len, k",
+    [
+        (np.random.default_rng(19).geometric(1 / 32, size=400).tolist(), 32, 32),
+        ([2048] * 4, 2048, 64),
+    ],
+    ids=["many-documents", "four-equal-documents"],
+)
+def test_fused_convolve_peak_memory_is_at_most_2_6_grids(lengths, filter_len, k):
+    # One grid is the packed buffer as complex data.  The forward holds the
+    # loaded grid and the array its stages run in place on, the split that
+    # array and the half-width inverse input; the rest is GEMM temporaries.
+    rng = np.random.default_rng(19)
+    channels = 4
+    plan = build_plan(lengths, filter_len, k)
+    sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
+    bank = FilterBank(rng.standard_normal((filter_len, channels)))
+    tracemalloc.start()
+    try:
+        convolve(plan, sig, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * plan.layout.total_padded * channels * 16
 
 
 def test_block_stage_runs_capped_stacks_per_width(monkeypatch):
@@ -553,6 +599,14 @@ def test_plan_bytes_bounded_and_maps_are_permutations():
             src_size = math.prod(index_map.src_shape)
             assert len(index_map.src_flat) == math.prod(index_map.dst_shape) == src_size
             assert np.array_equal(np.sort(index_map.src_flat), np.arange(src_size))
+
+
+def test_plan_nbytes_counts_every_distinct_array_once():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        k = int(rng.choice([1, 2, 4, 16, 64]))
+        plan = build_plan(random_doc_lengths(rng), int(rng.choice([1, 7, 64, 512])), k)
+        assert plan.nbytes == sum(a.nbytes for a in plan_arrays(plan))
 
 
 def test_plan_arrays_are_read_only():
