@@ -7,8 +7,8 @@ This package provides three convolution paths that never mix documents:
 
 - a GEMM-oriented four-step grid transform whose second DFT stage is
   block-diagonal over per-document column blocks (``transform``),
-- a masked iterative radix-2 variant with per-position butterfly
-  coefficients (``cooley_tukey``),
+- an iterative radix-2 variant whose butterflies pair positions inside
+  one document (``cooley_tukey``),
 - exact dense block-diagonal baselines and the brute-force causal oracle
   that anchors every tolerance (``direct``),
 

@@ -236,8 +236,10 @@ def _analytic_count(cfg: BenchConfig, doc_lengths) -> int:
         return sum(length * length for length in doc_lengths) * cfg.model_dim
     if cfg.algo == "ct":
         layout = build_ct_layout(doc_lengths, cfg.filter_len)
-        # Three masked transforms at 3*N per stage, plus the point-wise product.
-        per_channel = layout.total_padded * (9 * layout.max_log2 + 1)
+        # Three transforms at (p/2) log2 p butterflies per span p, plus the
+        # point-wise product.
+        butterflies = sum((p // 2) * (p.bit_length() - 1) for p in layout.pow2_lengths)
+        per_channel = 3 * butterflies + layout.total_padded
         return per_channel * cfg.model_dim
     return convolve_cmuls(build_layout(doc_lengths, cfg.filter_len, cfg.k), cfg.model_dim)
 

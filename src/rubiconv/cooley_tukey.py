@@ -1,31 +1,29 @@
-"""Masked radix-2 transform over packed documents.
+"""Radix-2 transform over packed documents, butterfly by butterfly.
 
 Per-document bit reversal followed by the standard iterative
-decimation-in-time butterfly stages, expressed as one global
-roll-and-multiply update per stage:
+decimation-in-time stages (Cooley and Tukey, 1965).  Stage m takes every
+block of m positions inside a document whose span is at least m, and with
+top the block's first m/2 positions and w_j = exp(2 pi i j / m):
 
-    y <- y * tw0 + roll(y, m/2) * twf + roll(y, -m/2) * twb
+    a = y[top];  b = y[top + m/2] * w;  y[top] = a + b;  y[top + m/2] = a - b
 
-Positions whose document is shorter than the current stage size carry the
-identity triple (1, 0, 0), turning the update into a no-op for documents
-that have already finished.  Padding every document to a power of two keeps
-all active butterfly partners inside the same document, and a partner term
-with a zero twiddle is selected away rather than multiplied by zero, so the
-rolls never leak values, not even NaN or inf, across boundaries.
-Asymptotically optimal, but butterfly updates are memory-bound; the grid
-transform is the practical path.
+Each document is padded to a power of two, so every butterfly pairs two
+positions of the same document: no value, not even NaN or inf, ever meets
+another document's.  A document shorter than m takes no part in stage m.
+Asymptotically optimal, but butterfly updates are memory-bound gathers; the
+grid transform is the practical path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import counting
-from .packing import _causal_spans, _span_scale
+from .packing import _causal_spans, _doc_index, _span_scale
 from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
 
 
@@ -56,15 +54,6 @@ class CtLayout:
         return max(int(p).bit_length() - 1 for p in self.pow2_lengths)
 
 
-@dataclass(frozen=True, eq=False)
-class TwiddleTriple:
-    """Per-position butterfly coefficients for one stage."""
-
-    tw0: np.ndarray
-    twf: np.ndarray
-    twb: np.ndarray
-
-
 def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
@@ -83,56 +72,41 @@ def build_ct_layout(doc_lengths: Sequence[int], filter_len: int) -> CtLayout:
     )
 
 
-@lru_cache(maxsize=1)
 def _bit_reverse_indices(layout: CtLayout) -> np.ndarray:
     """Global gather indices performing the per-document bit reversal."""
-    idx = np.empty(layout.total_padded, dtype=np.int64)
-    for off, span in zip(layout.offsets, layout.pow2_lengths):
-        if span & (span - 1):
-            raise ValueError(f"document span {span} is not a power of two")
-        bits = span.bit_length() - 1
-        local = np.arange(span, dtype=np.int64)
-        rev = np.zeros(span, dtype=np.int64)
-        for b in range(bits):
-            rev = (rev << 1) | ((local >> b) & 1)
-        idx[off : off + span] = off + rev
-    return idx
+    spans = np.asarray(layout.pow2_lengths, dtype=np.int64)
+    bad = (spans < 1) | ((spans & (spans - 1)) != 0)
+    if bad.any():
+        raise ValueError(f"document span {spans[bad][0]} is not a power of two")
+    bits = np.log2(spans).astype(np.int64)  # exact for powers of two
+    owner, local = _doc_index(spans)
+    # Reverse every local index over the widest span's bits, then drop the
+    # low bits a shorter span does not have.
+    width = int(bits.max())
+    rev = np.zeros_like(local)
+    for b in range(width):
+        rev = (rev << 1) | ((local >> b) & 1)
+    return np.asarray(layout.offsets, dtype=np.int64)[owner] + (rev >> (width - bits)[owner])
 
 
-@lru_cache(maxsize=1)
-def stage_triples(layout: CtLayout) -> tuple[TwiddleTriple, ...]:
-    """Twiddle triples for stages m = 2, 4, ..., built once per layout.
+def stage_triples(layout: CtLayout) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (half, top, w) for stages m = 2, 4, ..., one stage at a time.
 
-    Only the latest layout's tables stay cached (as for the bit reversal):
-    they take 48 bytes per position per stage, tens of MiB on a long packing,
-    and ``ct_convolve`` reuses one layout for all three transforms.
-
-    Within an active document, stage-local index j gets the standard
-    decimation-in-time factors: the top half (j < m/2) keeps itself and
-    adds w_m^j times its forward partner, the bottom half takes its
-    backward partner plus w_m^j times itself (w_m^j = -w_m^(j - m/2) there).
-    Positions in documents shorter than m get (1, 0, 0).
+    top is the (n_blocks, half) index of the first half of every m-position
+    block inside a document spanning at least m, and w = exp(2 pi i j / m)
+    for j < half.  Nothing is cached: each stage's tables are built when it
+    is reached and dropped after it.
     """
-    n = layout.total_padded
-    doc_span = np.repeat(np.asarray(layout.pow2_lengths), np.asarray(layout.pow2_lengths))
-    local = np.concatenate([np.arange(span, dtype=np.int64) for span in layout.pow2_lengths])
-    triples = []
+    spans = np.asarray(layout.pow2_lengths, dtype=np.int64)
+    offsets = np.asarray(layout.offsets, dtype=np.int64)
     for s in range(1, layout.max_log2 + 1):
-        m = 1 << s
-        active = doc_span >= m
-        j = local % m
-        omega = np.exp((2j * np.pi / m) * j)
-        top = active & (j < m // 2)
-        bottom = active & (j >= m // 2)
-        tw0 = np.ones(n, dtype=np.complex128)
-        twf = np.zeros(n, dtype=np.complex128)
-        twb = np.zeros(n, dtype=np.complex128)
-        tw0[bottom] = omega[bottom]
-        twf[bottom] = 1.0
-        twb[top] = omega[top]
-        triples.append(TwiddleTriple(tw0=tw0, twf=twf, twb=twb))
-    counting.add_built_elements(3 * n * len(triples))
-    return tuple(triples)
+        m, half = 1 << s, 1 << (s - 1)
+        live = spans >= m
+        owner, block = _doc_index(spans[live] // m)
+        top = (offsets[live][owner] + block * m)[:, None] + np.arange(half, dtype=np.int64)
+        w = np.exp((2j * np.pi / m) * np.arange(half))
+        counting.add_built_elements(top.size + half)
+        yield half, top, w
 
 
 def bit_reverse_permute(y: np.ndarray, layout: CtLayout) -> np.ndarray:
@@ -147,33 +121,30 @@ def bit_reverse_permute(y: np.ndarray, layout: CtLayout) -> np.ndarray:
 
 
 def masked_fft_stages(y: np.ndarray, layout: CtLayout) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (stage_size, state) after bit reversal and after each stage."""
+    """Yield (stage_size, state) after bit reversal and after each stage.
+
+    The bit reversal gathers into a fresh array, so y is never modified.
+    Every stage then updates that one array in place: each yielded state is
+    the same array, and a caller that keeps states must copy them.
+    """
     state = bit_reverse_permute(np.asarray(y, dtype=np.complex128), layout)
     yield 1, state
+    channels = math.prod(state.shape[1:])
     shape_tail = (1,) * (state.ndim - 1)
-    for s, triple in enumerate(stage_triples(layout), start=1):
-        half = 1 << (s - 1)
-        tw0 = triple.tw0.reshape((-1,) + shape_tail)
-        twf = triple.twf.reshape((-1,) + shape_tail)
-        twb = triple.twb.reshape((-1,) + shape_tail)
-        counting.add_complex_muls(3 * state.size, real_muls_each=4)
-        # A partner whose twiddle is zero is zeroed before the multiply: the
-        # roll may have brought in a value of another document, and 0 * NaN
-        # or 0 * inf is NaN.
-        backward = np.roll(state, half, axis=0)
-        backward[triple.twf == 0] = 0
-        backward *= twf
-        forward = np.roll(state, -half, axis=0)
-        forward[triple.twb == 0] = 0
-        forward *= twb
-        state = state * tw0
-        state += backward
-        state += forward
+    for half, top, w in stage_triples(layout):
+        bottom = top + half
+        counting.add_complex_muls(top.size * channels, real_muls_each=4)
+        a = state[top]
+        b = state[bottom]
+        b *= w.reshape((-1,) + shape_tail)
+        state[top] = a + b
+        a -= b
+        state[bottom] = a
         yield 2 * half, state
 
 
 def masked_fft(y: np.ndarray, layout: CtLayout) -> np.ndarray:
-    """Per-document DFT of a packed vector via masked butterfly stages.
+    """Per-document DFT of a packed vector via in-document butterfly stages.
 
     The output slice of each document equals the padded-length DFT of that
     document's span, identical to what a standard iterative radix-2 FFT
@@ -193,7 +164,7 @@ def ct_inverse(y: np.ndarray, layout: CtLayout) -> np.ndarray:
 
 
 def ct_convolve(x: PackedSignal, bank: FilterBank, layout: CtLayout) -> PackedSignal:
-    """Depthwise causal convolution through the masked radix-2 transform.
+    """Depthwise causal convolution through the packed radix-2 transform.
 
     Same contract as the grid pipeline: per document and channel, the causal
     linear convolution truncated to the original length, zero tails.
@@ -203,8 +174,9 @@ def ct_convolve(x: PackedSignal, bank: FilterBank, layout: CtLayout) -> PackedSi
     x_hat = masked_fft(x.values.astype(np.complex128), layout)
     f_hat = masked_fft(embed_filter(layout, bank).astype(np.complex128), layout)
     counting.add_complex_muls(x_hat.size, real_muls_each=4)
-    product = x_hat * f_hat
+    x_hat *= f_hat
+    del f_hat
 
-    inv = masked_fft(np.conj(product), layout)
+    inv = masked_fft(np.conj(x_hat, out=x_hat), layout)
     counting.add_real_muls(inv.size)
     return PackedSignal._from_output(inv.real * _span_scale(layout)[:, None], layout)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import counting
 
-DEFAULT_K = 256  # good hardware/padding trade-off for packed totals up to ~32k
+DEFAULT_K = 256  # grid rows, the k-point DFT size, when a caller gives no k
 
 
 @dataclass(frozen=True)

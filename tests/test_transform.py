@@ -13,9 +13,11 @@ from conftest import oracle_matrix, random_doc_lengths, random_documents, rel_er
 from rubiconv import (
     FilterBank,
     PackedSignal,
+    build_ct_layout,
     build_plan,
     convolve,
     count_ops,
+    ct_convolve,
     dft_matrix,
     embed_filter,
     forward,
@@ -619,28 +621,45 @@ def test_plan_arrays_are_read_only():
 
 
 def test_one_plan_shared_across_threads_gives_the_serial_result():
+    # The README says plans are safe to share across threads and layers.
+    # Four threads each convolve their own signal through one shared plan
+    # (grid path) or one shared CtLayout (radix-2 path); every result must
+    # equal that signal's serial run bit for bit, and the plan stays as built.
     rng = np.random.default_rng(41)
     lengths = [300, 17, 1, 129, 64]
     plan = build_plan(lengths, filter_len=32, k=16)
-    signal = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, 6))
+    ct_layout = build_ct_layout(lengths, filter_len=32)
     bank = FilterBank(rng.standard_normal((32, 6)))
-    expected = convolve(plan, signal, bank).values
-    results = [None] * 4
+    docs = [random_documents(rng, lengths, 6) for _ in range(4)]
+    plan_before = [a.copy() for a in plan_arrays(plan)]
+    paths = (
+        (plan.layout, lambda sig: convolve(plan, sig, bank)),
+        (ct_layout, lambda sig: ct_convolve(sig, bank, ct_layout)),
+    )
+    for layout, run_path in paths:
+        signals = [PackedSignal.from_documents(layout, d) for d in docs]
+        expected = [run_path(sig).values for sig in signals]
+        start = threading.Barrier(4, timeout=60)
+        results = [[] for _ in range(4)]
 
-    def run(i):
-        for _ in range(5):
-            results[i] = convolve(plan, signal, bank).values
+        def run(i):
+            start.wait()
+            for _ in range(5):
+                results[i].append(run_path(signals[i]).values)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert all(np.array_equal(out, expected) for out in results)
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for outs, ref in zip(results, expected):
+            assert len(outs) == 5 and all(np.array_equal(out, ref) for out in outs)
+    assert all(np.array_equal(a, b) for a, b in zip(plan_arrays(plan), plan_before))
+    assert ct_layout == build_ct_layout(lengths, filter_len=32)
 
