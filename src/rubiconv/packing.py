@@ -174,9 +174,13 @@ class WidthGroup(NamedTuple):
     width: int  # m, columns per document
     first_col: int  # grid column where the run starts
     n_docs: int
-    doc: int  # the run's first document
     live_rows: int  # max ceil(L_i / m) over the run
     live_cols: int  # max ceil(L_i / k) over the run
+
+    @property
+    def cols(self) -> slice:
+        """The run's grid columns."""
+        return slice(self.first_col, self.first_col + self.width * self.n_docs)
 
 
 def width_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
@@ -189,10 +193,9 @@ def width_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
     counts = np.diff(starts, append=len(order))
     live_rows = np.maximum.reduceat(-(-lengths // widths), starts)
     live_cols = np.maximum.reduceat(-(-lengths // layout.k), starts)
-    first = order[starts]
     return tuple(
-        WidthGroup(int(widths[s]), layout.col_offsets[doc], int(n), int(doc), int(r), int(b))
-        for s, doc, n, r, b in zip(starts, first, counts, live_rows, live_cols)
+        WidthGroup(int(widths[s]), layout.col_offsets[doc], int(n), int(r), int(b))
+        for s, doc, n, r, b in zip(starts, order[starts], counts, live_rows, live_cols)
     )
 
 
@@ -216,16 +219,6 @@ def _span_scale(layout) -> np.ndarray:
     return np.repeat(1.0 / lengths, lengths)
 
 
-def _column_geometry(layout: PackedLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per grid column: its document, the block's first column, local index, width m_i."""
-    offsets = np.asarray(layout.col_offsets, dtype=np.int64)
-    widths = np.asarray(layout.cols_per_doc, dtype=np.int64)
-    order = np.argsort(offsets)  # documents in grid order
-    owner, local = _doc_index(widths[order])
-    doc = order[owner]
-    return doc, offsets[doc], local, widths[doc]
-
-
 def _row_major_load(
     layout: PackedLayout, starts: Sequence[int], src_shape: tuple[int, ...]
 ) -> IndexMap:
@@ -233,10 +226,13 @@ def _row_major_load(
 
     grid[r, col_offsets[i] + c] = source[starts[i] + r * m_i + c].
     """
-    doc, _, local, width = _column_geometry(layout)
+    widths = np.asarray(layout.cols_per_doc, dtype=np.int64)
+    order = np.argsort(layout.col_offsets)  # documents in grid order
+    owner, local = _doc_index(widths[order])
+    doc = order[owner]  # each grid column's document
     start = np.asarray(starts, dtype=np.int64)[doc]
     rows = np.arange(layout.k, dtype=np.int64)[:, None]
-    src = (rows * width + start + local).ravel()
+    src = (rows * widths[doc] + start + local).ravel()
     counting.add_built_elements(len(src))
     return IndexMap(src_shape, (layout.k, layout.total_cols), src)
 

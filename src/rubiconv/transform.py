@@ -86,7 +86,6 @@ from .packing import (
     IndexMap,
     PackedLayout,
     WidthGroup,
-    _column_geometry,
     _span_scale,
     build_layout,
     build_p1,
@@ -108,15 +107,12 @@ class RubiConvPlan:
 
     layout: PackedLayout
     m1: np.ndarray  # (k, k) first-stage DFT
-    twiddle: np.ndarray  # (k, m_total) view of an (m_total, k) table; block i holds w_{L_i'}^(a*b)
-    m2_blocks: tuple[np.ndarray, ...]  # (m_i, m_i) second-stage DFTs, one array per width
     groups: tuple[WidthGroup, ...]  # the grid's width groups, with their live rows and columns
+    twiddles: tuple[np.ndarray, ...]  # per group, (m, k) with w_{k*m}^(b*a) at [b, a]
+    m2: tuple[np.ndarray, ...]  # per group, the (m, m) second-stage DFT
     p1: IndexMap  # packed vector -> grid, row-major per block
     pre_ifft: IndexMap  # cell-major spectrum -> grid, row-major per block
     p2: IndexMap  # cell-major grid -> packed vector, whole padded spans
-    inv_scale: np.ndarray  # (m_total,), 1 / L_i' for each column of document i
-    rev_cols_first: np.ndarray  # (m_total,) column holding frequency -f, for grid row 0
-    rev_cols_rest: np.ndarray  # (m_total,) the same for rows a > 0, whose row is k - a
 
     @property
     def k(self) -> int:
@@ -126,17 +122,8 @@ class RubiConvPlan:
     def nbytes(self) -> int:
         """Bytes of every distinct array the plan holds; a view counts as its base."""
         bases = {}
-        for array in (
-            self.m1,
-            self.twiddle,
-            *self.m2_blocks,
-            self.p1.src_flat,
-            self.pre_ifft.src_flat,
-            self.p2.src_flat,
-            self.inv_scale,
-            self.rev_cols_first,
-            self.rev_cols_rest,
-        ):
+        maps = (self.p1, self.pre_ifft, self.p2)
+        for array in (self.m1, *self.twiddles, *self.m2, *(m.src_flat for m in maps)):
             while isinstance(array.base, np.ndarray):
                 array = array.base
             bases[id(array)] = array
@@ -146,57 +133,35 @@ class RubiConvPlan:
 def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) -> RubiConvPlan:
     """Build every structure the transform needs for one packing.
 
-    Each distinct document width m_i gets one twiddle table and one DFT
-    matrix, shared by all documents of that width.  Constructed element
-    counts are reported to the operation counter; the k x k first-stage
-    matrix is excluded since it depends only on k and is shared across all
-    layouts.
+    Each width group gets one twiddle table and one DFT matrix, shared by
+    all of its documents.  Constructed element counts are reported to the
+    operation counter; the k x k first-stage matrix is excluded since it
+    depends only on k and is shared across all layouts.
     """
     layout = build_layout(doc_lengths, filter_len, k)
-
+    groups = width_groups(layout)
     rows = np.arange(k, dtype=np.int64)[None, :]
-    twiddles, dfts = {}, {}
-    for m_i in sorted(set(layout.cols_per_doc)):
-        padded = k * m_i
-        cols = np.arange(m_i, dtype=np.int64)[:, None]
-        twiddles[m_i] = np.exp((2j * np.pi / padded) * ((cols * rows) % padded))
-        dfts[m_i] = dft_matrix(m_i)
-    # Column-major: row c holds the twiddles of grid column c.  Grid blocks
-    # are in width order.
-    twiddle = np.concatenate([twiddles[m_i] for m_i in sorted(layout.cols_per_doc)])
-
-    # Cell (a, c) holds frequency f = b*k + a of its document, b being the
-    # local column.  Frequency (-f) mod L_i' sits in row (-a) mod k, at local
-    # column (-b) mod m_i when a = 0 and m_i - 1 - b otherwise.
-    _, first, local, width = _column_geometry(layout)
-    rev_cols_first = first + (-local) % width
-    rev_cols_rest = first + width - 1 - local
-    inv_scale = 1.0 / (k * width).astype(np.float64)
-    counting.add_built_elements(
-        twiddle.size
-        + sum(b.size for b in dfts.values())
-        + rev_cols_first.size
-        + rev_cols_rest.size
-        + inv_scale.size
-    )
+    twiddles, m2 = [], []
+    for group in groups:
+        padded = k * group.width
+        cols = np.arange(group.width, dtype=np.int64)[:, None]
+        twiddles.append(np.exp((2j * np.pi / padded) * ((cols * rows) % padded)))
+        m2.append(dft_matrix(group.width))
+    counting.add_built_elements(sum(t.size for t in twiddles + m2))
 
     m1 = dft_matrix(k)
     p1, pre_ifft, p2 = build_p1(layout), build_pre_ifft_map(layout), build_p2(layout)
-    tables = (m1, twiddle, inv_scale, rev_cols_first, rev_cols_rest, *dfts.values())
-    for table in tables + (p1.src_flat, pre_ifft.src_flat, p2.src_flat):
+    for table in (m1, *twiddles, *m2, p1.src_flat, pre_ifft.src_flat, p2.src_flat):
         _freeze(table)
     return RubiConvPlan(
         layout=layout,
         m1=m1,
-        twiddle=twiddle.T,
-        m2_blocks=tuple(dfts[m_i] for m_i in layout.cols_per_doc),
-        groups=width_groups(layout),
+        groups=groups,
+        twiddles=tuple(twiddles),
+        m2=tuple(m2),
         p1=p1,
         pre_ifft=pre_ifft,
         p2=p2,
-        inv_scale=inv_scale,
-        rev_cols_first=rev_cols_first,
-        rev_cols_rest=rev_cols_rest,
     )
 
 
@@ -261,22 +226,24 @@ def transform_grid(
     for (lo, n_rows), (hi, _) in zip(runs, runs[1:] + [(m_total, 0)]):
         m1 = plan.m1 if n_rows == k else plan.m1[:n_rows]
         gemm(cells[lo * width : hi * width, :n_rows], m1, gemm_mode, out=work[lo:hi].reshape(-1, k))
-    # Twiddle stage; kept as plain complex multiplication in either mode.
+    # Twiddle stage, per width group in place; kept as plain complex
+    # multiplication in either mode.
     counting.add_complex_muls(work.size, real_muls_each=4)
-    work *= plan.twiddle.T[:, None, :]
+    for group, twiddle in zip(plan.groups, plan.twiddles):
+        docs = work[group.cols].reshape(group.n_docs, group.width, width, k)
+        docs *= twiddle[:, None, :]
     # Width groups are contiguous and run as capped stacks (see the module
     # notes).  Each stack's result goes back into the memory its documents
     # held in ``work``, with channels last, so that a cell's channels are
     # contiguous for the stages that follow.  The GEMM has already returned
     # its own array, and no other stack reads those documents.
     m_max = plan.groups[-1].width
-    for group in plan.groups:
+    for group, dft in zip(plan.groups, plan.m2):
         m_i, step = group.width, m_max // group.width
-        cols = slice(group.first_col, group.first_col + m_i * group.n_docs)
         keep = group.live_cols if skip_unread_cols else m_i
-        m2 = plan.m2_blocks[group.doc][:keep]
-        rows = work[cols].reshape(-1, m_i, width * k)
-        blocks = work[cols].reshape(-1, m_i, k, width)
+        m2 = dft[:keep]
+        rows = work[group.cols].reshape(-1, m_i, width * k)
+        blocks = work[group.cols].reshape(-1, m_i, k, width)
         for lo in range(0, group.n_docs, step):
             stack = blocks[lo : lo + step]
             # One statement, so each GEMM result is freed before the next.
@@ -371,7 +338,9 @@ def convolve(
     time_cells = transform_grid(plan, grid, gemm_mode, skip_unread_cols=True).view(np.float64)
     del grid
     counting.add_real_muls(time_cells.size)
-    time_cells *= plan.inv_scale[:, None, None]
+    for group in plan.groups:
+        docs = time_cells[group.cols]
+        docs *= 1.0 / (plan.k * group.width)
 
     values = plan.p2.apply(time_cells)
     del time_cells
@@ -425,17 +394,24 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> np.ndarray:
     rev_buf = np.empty((min(step, m_total), k, channels), dtype=np.complex128)
     prod_buf = np.empty_like(rev_buf)
     counting.add_complex_muls(2 * z.size, real_muls_each=4)
-    for lo in range(0, m_total, step):
-        hi = min(lo + step, m_total)
-        zc, r, p = z[lo:hi], rev_buf[: hi - lo], prod_buf[: hi - lo]
-        # Cell (c, a) holds frequency f; -f sits in cell (rev_cols_first[c], 0)
-        # when a = 0 and in cell (rev_cols_rest[c], k - a) otherwise.
-        r[:, 0] = z[plan.rev_cols_first[lo:hi], 0]
-        r[:, 1:] = z[plan.rev_cols_rest[lo:hi], :0:-1]
-        np.conjugate(r, out=r)
-        np.add(zc, r, out=p)
-        np.subtract(zc, r, out=r)
-        p *= r
-        p *= -0.25j
-        _pair_channels(p, paired[lo:hi])
+    for group in plan.groups:
+        m, start, n_cols = group.width, group.first_col, group.width * group.n_docs
+        # Cell (c, a) holds frequency f = b*k + a of its document, b being
+        # the local column.  Frequency -f sits in row (-a) mod k, at local
+        # column (-b) mod m when a = 0 and m - 1 - b otherwise.
+        local = np.arange(n_cols) % m
+        first = start + np.arange(n_cols) - local
+        rev_first, rev_rest = first + (-local) % m, first + m - 1 - local
+        for lo in range(0, n_cols, step):
+            hi = min(lo + step, n_cols)
+            cells = slice(start + lo, start + hi)
+            zc, r, p = z[cells], rev_buf[: hi - lo], prod_buf[: hi - lo]
+            r[:, 0] = z[rev_first[lo:hi], 0]
+            r[:, 1:] = z[rev_rest[lo:hi], :0:-1]
+            np.conjugate(r, out=r)
+            np.add(zc, r, out=p)
+            np.subtract(zc, r, out=r)
+            p *= r
+            p *= -0.25j
+            _pair_channels(p, paired[cells])
     return paired

@@ -71,3 +71,31 @@ def test_outputs_have_zero_tails_and_caller_signals_keep_their_checks():
         values[tails[-1], 2] = 1.0
         with pytest.raises(ValueError):
             PackedSignal(values, layout)
+
+
+def test_float32_and_integer_inputs_give_their_float64_results():
+    rng = np.random.default_rng(22)
+    lengths = [6, 1, 19, 4]
+    cases = {
+        "float32": (
+            [rng.standard_normal((n, 3)).astype(np.float32) for n in lengths],
+            rng.standard_normal((5, 3)).astype(np.float32),
+        ),
+        "int32": (
+            [rng.integers(-9, 10, (n, 3), dtype=np.int32) for n in lengths],
+            rng.integers(-9, 10, (5, 3), dtype=np.int32),
+        ),
+        "int64": ([rng.integers(-9, 10, (n, 3)) for n in lengths], rng.integers(-9, 10, (5, 3))),
+    }
+    for name, (layout, run) in _variants(lengths, 5, 4).items():
+        for kind, (docs, taps) in cases.items():
+            as_f64 = PackedSignal.from_documents(layout, [d.astype(np.float64) for d in docs])
+            expected = run(as_f64, FilterBank(taps.astype(np.float64))).values
+            # Packed from documents, and a caller-built buffer of that dtype.
+            for sig in (
+                PackedSignal.from_documents(layout, docs),
+                PackedSignal(as_f64.values.astype(taps.dtype), layout),
+            ):
+                out = run(sig, FilterBank(taps)).values
+                assert out.dtype == np.float64, (name, kind)
+                assert np.array_equal(out, expected), (name, kind)

@@ -85,8 +85,9 @@ def test_width_groups_tile_the_grid_and_bound_each_document():
         assert [g.width for g in groups] == sorted({g.width for g in groups})
         col = 0
         for g in groups:
-            assert g.first_col == col == layout.col_offsets[g.doc]
+            assert g.first_col == col in layout.col_offsets
             col += g.n_docs * g.width
+            assert g.cols == slice(g.first_col, col)
             docs = [i for i, off in enumerate(layout.col_offsets) if g.first_col <= off < col]
             assert len(docs) == g.n_docs and {layout.cols_per_doc[i] for i in docs} == {g.width}
             lengths = [layout.doc_lengths[i] for i in docs]

@@ -36,40 +36,54 @@ def forward_vs_naive_worst(plan, x):
     return worst
 
 
+def test_plan_fields_are_the_tables_and_maps_the_stages_read():
+    fields = [f.name for f in dataclasses.fields(build_plan([4], filter_len=4, k=4))]
+    assert fields == ["layout", "m1", "groups", "twiddles", "m2", "p1", "pre_ifft", "p2"]
+
+
 def test_plan_shapes_two_docs():
     plan = build_plan([4, 8], filter_len=64, k=4)
-    assert plan.twiddle.shape == (4, 6)
-    assert [b.shape[0] for b in plan.m2_blocks] == [2, 4]
+    assert [g.width for g in plan.groups] == [2, 4]
+    assert [t.shape for t in plan.twiddles] == [(2, 4), (4, 4)]
+    assert [b.shape for b in plan.m2] == [(2, 2), (4, 4)]
 
 
 def test_plan_degenerate_single_column():
     k = 8
     plan = build_plan([k], filter_len=1, k=k)
-    assert len(plan.m2_blocks) == 1 and plan.m2_blocks[0].shape == (1, 1)
-    assert np.allclose(plan.twiddle[:, 0], dft_matrix(k)[:, 0], atol=1e-15)
+    assert len(plan.m2) == len(plan.twiddles) == 1 and plan.m2[0].shape == (1, 1)
+    assert np.allclose(plan.twiddles[0][0], dft_matrix(k)[:, 0], atol=1e-15)
 
 
 def test_plan_build_is_deterministic():
     a = build_plan([5, 9, 2], filter_len=4, k=4)
     b = build_plan([5, 9, 2], filter_len=4, k=4)
-    assert a.layout == b.layout
+    assert a.layout == b.layout and a.groups == b.groups
     assert np.array_equal(a.m1, b.m1)
-    assert np.array_equal(a.twiddle, b.twiddle)
-    assert all(np.array_equal(x, y) for x, y in zip(a.m2_blocks, b.m2_blocks))
+    assert len(a.twiddles) == len(b.twiddles) == len(a.m2) == len(b.m2) == len(a.groups)
+    assert all(np.array_equal(x, y) for x, y in zip(a.twiddles, b.twiddles))
+    assert all(np.array_equal(x, y) for x, y in zip(a.m2, b.m2))
     for field in ("p1", "pre_ifft", "p2"):
         assert np.array_equal(getattr(a, field).src_flat, getattr(b, field).src_flat)
-    assert np.array_equal(a.inv_scale, b.inv_scale)
-    assert np.array_equal(a.rev_cols_first, b.rev_cols_first)
-    assert np.array_equal(a.rev_cols_rest, b.rev_cols_rest)
 
 
 def test_equal_width_documents_share_tables():
     plan = build_plan([5, 60, 7, 3, 58], filter_len=4, k=16)
     widths = plan.layout.cols_per_doc
     assert widths[0] == widths[2] == widths[3] and widths[1] == widths[4] != widths[0]
-    assert plan.m2_blocks[0] is plan.m2_blocks[2] is plan.m2_blocks[3]
-    assert plan.m2_blocks[1] is plan.m2_blocks[4]
-    assert plan.m2_blocks[0] is not plan.m2_blocks[1]
+    # One group, one twiddle table and one DFT per distinct width.
+    assert [(g.width, g.n_docs) for g in plan.groups] == [(widths[0], 3), (widths[1], 2)]
+    assert [t.shape for t in plan.twiddles] == [(g.width, 16) for g in plan.groups]
+    assert [b.shape for b in plan.m2] == [(g.width, g.width) for g in plan.groups]
+
+
+def test_more_documents_of_a_present_width_leave_the_tables_unchanged():
+    def table_bytes(lengths):
+        plan = build_plan(lengths, filter_len=4, k=16)
+        return plan.nbytes - sum(m.src_flat.nbytes for m in (plan.p1, plan.pre_ifft, plan.p2))
+
+    base = [5, 60, 7, 3, 58]
+    assert table_bytes(base + [6, 59] * 20) == table_bytes(base) > 0
 
 
 def test_twiddle_entries_use_padded_length_roots():
@@ -78,14 +92,13 @@ def test_twiddle_entries_use_padded_length_roots():
         lengths = random_doc_lengths(rng, max_docs=5, max_len=40)
         k = int(rng.choice([1, 2, 4, 8]))
         plan = build_plan(lengths, filter_len=5, k=k)
-        layout = plan.layout
-        for off_col, m_i, padded in zip(
-            layout.col_offsets, layout.cols_per_doc, layout.padded_lengths
-        ):
-            a = np.arange(k)[:, None]
-            b = np.arange(m_i)[None, :]
+        assert {g.width for g in plan.groups} == set(plan.layout.cols_per_doc)
+        for group, twiddle in zip(plan.groups, plan.twiddles):
+            padded = k * group.width
+            b = np.arange(group.width)[:, None]
+            a = np.arange(k)[None, :]
             expected = np.exp(2j * np.pi * ((a * b) % padded) / padded)
-            assert rel_err(plan.twiddle[:, off_col : off_col + m_i], expected) <= 1e-14
+            assert rel_err(twiddle, expected) <= 1e-14
 
 
 def test_forward_single_doc_equals_first_stage_dft():
@@ -592,9 +605,8 @@ def test_plan_bytes_bounded_and_maps_are_permutations():
         layout = plan.layout
         bound = (
             16 * k * k
-            + 16 * sum(m * m for m in set(layout.cols_per_doc))
-            + 40 * layout.total_padded
-            + 24 * layout.total_cols
+            + 16 * sum(g.width * g.width + k * g.width for g in plan.groups)
+            + 24 * layout.total_padded
         )
         assert sum(a.nbytes for a in plan_arrays(plan)) <= bound
         for index_map in (plan.p1, plan.pre_ifft, plan.p2):
@@ -615,7 +627,7 @@ def test_plan_arrays_are_read_only():
     plan = build_plan([5, 9, 2], filter_len=4, k=4)
     assert not any(a.flags.writeable for a in plan_arrays(plan))
     with pytest.raises(ValueError):
-        plan.twiddle[0, 0] = 0
+        plan.twiddles[0][0, 0] = 0
     with pytest.raises(ValueError):
         plan.p1.src_flat[0] = 0
 
