@@ -13,8 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import counting
-
-OPERATOR_MODES = ("toeplitz-linear", "circulant")
+from .linalg import _whole
 
 # Sum of block entries above which operator construction refuses to run.
 DEFAULT_MATRIX_BUDGET = 2**28
@@ -39,7 +38,6 @@ class BlockDiagOperator:
     """
 
     blocks: tuple[np.ndarray, ...]
-    mode: str
     doc_lengths: tuple[int, ...]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -60,18 +58,15 @@ class BlockDiagOperator:
 def build_operator(
     doc_lengths: Sequence[int],
     taps: np.ndarray,
-    mode: str = "toeplitz-linear",
     max_entries: int = DEFAULT_MATRIX_BUDGET,
 ) -> BlockDiagOperator:
     """Materialize one convolution matrix per document for a single channel.
 
-    "toeplitz-linear" builds the lower-triangular banded matrix of the
-    causal linear convolution; "circulant" wraps tap indices mod L_b.
+    Each block is the lower-triangular banded Toeplitz matrix of the causal
+    linear convolution.
     """
-    lengths = tuple(int(x) for x in doc_lengths)
+    lengths = tuple(_whole(x, "document length") for x in doc_lengths)
     taps = np.asarray(taps, dtype=np.float64).ravel()
-    if mode not in OPERATOR_MODES:
-        raise ValueError(f"unknown operator mode {mode!r}, expected one of {OPERATOR_MODES}")
     if any(length < 1 for length in lengths):
         raise ValueError("document lengths must be >= 1")
     entries = sum(length * length for length in lengths)
@@ -82,17 +77,12 @@ def build_operator(
     blocks = []
     for length in lengths:
         block = np.zeros((length, length), dtype=np.float64)
-        if mode == "toeplitz-linear":
-            for tau in range(min(len(taps), length)):
-                rows = np.arange(tau, length)
-                block[rows, rows - tau] = taps[tau]
-        else:
-            t = np.arange(length)
-            for tau in range(len(taps)):
-                block[t, (t - tau) % length] += taps[tau]
+        for tau in range(min(len(taps), length)):
+            rows = np.arange(tau, length)
+            block[rows, rows - tau] = taps[tau]
         blocks.append(block)
     counting.add_built_elements(entries)
-    return BlockDiagOperator(blocks=tuple(blocks), mode=mode, doc_lengths=lengths)
+    return BlockDiagOperator(blocks=tuple(blocks), doc_lengths=lengths)
 
 
 def oracle_convolve(doc_lengths: Sequence[int], x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -101,7 +91,7 @@ def oracle_convolve(doc_lengths: Sequence[int], x: np.ndarray, taps: np.ndarray)
     Direct summation in O(L * L_F); taps beyond a document's length never
     enter the sum.
     """
-    lengths = tuple(int(v) for v in doc_lengths)
+    lengths = tuple(_whole(v, "document length") for v in doc_lengths)
     x = np.asarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.float64).ravel()
     total = sum(lengths)

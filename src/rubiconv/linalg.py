@@ -20,13 +20,21 @@ from . import counting
 GEMM_MODES = ("standard", "karatsuba")
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int, refusing any value that ``int`` would truncate."""
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return whole
+
+
 def dft_matrix(j: int) -> np.ndarray:
     """Return the j x j DFT matrix with entry (l, m) = exp(2*pi*i*l*m/j).
 
     The exponent l*m is reduced mod j before evaluating exp so large
     transforms do not lose phase accuracy.
     """
-    j = int(j)
+    j = _whole(j, "DFT size")
     if j < 1:
         raise ValueError(f"DFT size must be a positive integer, got {j}")
     lm = np.outer(np.arange(j, dtype=np.int64), np.arange(j, dtype=np.int64)) % j

@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import counting
+from .linalg import _whole
 
 DEFAULT_K = 256  # grid rows, the k-point DFT size, when a caller gives no k
 
@@ -121,8 +122,8 @@ def _causal_spans(
     convolution.  Zero-length documents are rejected: they have no defined
     span and would silently vanish from the buffer.
     """
-    lengths = tuple(int(x) for x in doc_lengths)
-    filter_len = int(filter_len)
+    lengths = tuple(_whole(x, "document length") for x in doc_lengths)
+    filter_len = _whole(filter_len, "filter length")
     if not lengths:
         raise ValueError("a packed batch needs at least one document")
     if any(length < 1 for length in lengths):
@@ -135,7 +136,7 @@ def _causal_spans(
 def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) -> PackedLayout:
     """Compute the padded/grid geometry for one packed batch."""
     lengths, filter_len, causal = _causal_spans(doc_lengths, filter_len)
-    k = int(k)
+    k = _whole(k, "grid row count k")
     if k < 1:
         raise ValueError(f"grid row count k must be >= 1, got {k}")
 

@@ -186,7 +186,6 @@ def _freeze(array: np.ndarray) -> None:
 def transform_grid(
     plan: RubiConvPlan,
     grid: np.ndarray,
-    gemm_mode: str = "standard",
     *,
     skip_zero_rows: bool = False,
     skip_unread_cols: bool = False,
@@ -225,9 +224,8 @@ def transform_grid(
     runs = [(g.first_col, g.live_rows) for g in plan.groups] if skip_zero_rows else [(0, k)]
     for (lo, n_rows), (hi, _) in zip(runs, runs[1:] + [(m_total, 0)]):
         m1 = plan.m1 if n_rows == k else plan.m1[:n_rows]
-        gemm(cells[lo * width : hi * width, :n_rows], m1, gemm_mode, out=work[lo:hi].reshape(-1, k))
-    # Twiddle stage, per width group in place; kept as plain complex
-    # multiplication in either mode.
+        gemm(cells[lo * width : hi * width, :n_rows], m1, out=work[lo:hi].reshape(-1, k))
+    # Twiddle stage, per width group in place.
     counting.add_complex_muls(work.size, real_muls_each=4)
     for group, twiddle in zip(plan.groups, plan.twiddles):
         docs = work[group.cols].reshape(group.n_docs, group.width, width, k)
@@ -248,7 +246,7 @@ def transform_grid(
             stack = blocks[lo : lo + step]
             # One statement, so each GEMM result is freed before the next.
             stack[:, :keep] = (
-                gemm(m2, rows[lo : lo + step], gemm_mode)
+                gemm(m2, rows[lo : lo + step])
                 .reshape(-1, keep, width, k)
                 .transpose(0, 1, 3, 2)
             )
@@ -256,7 +254,7 @@ def transform_grid(
     return work.reshape((m_total, k) + grid.shape[2:])
 
 
-def forward(plan: RubiConvPlan, x: np.ndarray, gemm_mode: str = "standard") -> np.ndarray:
+def forward(plan: RubiConvPlan, x: np.ndarray) -> np.ndarray:
     """Padded-length DFT of every document in one packed complex vector.
 
     The slice of the output covering document i equals the L_i'-point DFT
@@ -269,23 +267,19 @@ def forward(plan: RubiConvPlan, x: np.ndarray, gemm_mode: str = "standard") -> n
             f"packed vector has {x.shape[0]} positions, plan expects "
             f"{plan.layout.total_padded}"
         )
-    return plan.p2.apply(transform_grid(plan, plan.p1.apply(x), gemm_mode))
+    return plan.p2.apply(transform_grid(plan, plan.p1.apply(x)))
 
 
-def inverse(plan: RubiConvPlan, y: np.ndarray, gemm_mode: str = "standard") -> np.ndarray:
+def inverse(plan: RubiConvPlan, y: np.ndarray) -> np.ndarray:
     """Invert ``forward`` through conjugation: ifft(y) = conj(fft(conj(y))) / L_i'."""
-    out = np.conj(forward(plan, np.conj(y), gemm_mode))
+    out = np.conj(forward(plan, np.conj(y)))
     counting.add_real_muls(2 * out.size)
     out *= _span_scale(plan.layout).reshape((-1,) + (1,) * (out.ndim - 1))
     return out
 
 
 def convolve(
-    plan: RubiConvPlan,
-    x: PackedSignal,
-    bank: FilterBank,
-    fused: bool = True,
-    gemm_mode: str = "standard",
+    plan: RubiConvPlan, x: PackedSignal, bank: FilterBank, fused: bool = True
 ) -> PackedSignal:
     """Depthwise causal convolution of a packed signal, document by document.
 
@@ -312,17 +306,17 @@ def convolve(
         del taps_grid
         grid = plan.p1.apply(packed)
         del packed
-        spectrum = transform_grid(plan, grid, gemm_mode, skip_zero_rows=True)
+        spectrum = transform_grid(plan, grid, skip_zero_rows=True)
         del grid
         paired = split_dual_real(plan, spectrum)
         del spectrum
     else:
         grid = plan.p1.apply(x.values.astype(np.complex128))
-        batch_hat = transform_grid(plan, grid, gemm_mode, skip_zero_rows=True)
+        batch_hat = transform_grid(plan, grid, skip_zero_rows=True)
         del grid
         grid = plan.p1.apply(taps_grid.astype(np.complex128))
         del taps_grid
-        filter_hat = transform_grid(plan, grid, gemm_mode, skip_zero_rows=True)
+        filter_hat = transform_grid(plan, grid, skip_zero_rows=True)
         del grid
         counting.add_complex_muls(batch_hat.size, real_muls_each=4)
         product = np.multiply(batch_hat, filter_hat, out=batch_hat)
@@ -335,7 +329,7 @@ def convolve(
     del paired
     # The inverse gives L_i' * (y_a + i*y_b): its float64 view holds the real
     # outputs in channel order, and is scaled in place.
-    time_cells = transform_grid(plan, grid, gemm_mode, skip_unread_cols=True).view(np.float64)
+    time_cells = transform_grid(plan, grid, skip_unread_cols=True).view(np.float64)
     del grid
     counting.add_real_muls(time_cells.size)
     for group in plan.groups:

@@ -89,8 +89,9 @@ def test_run_config_produces_schema_row(algo):
     assert float(row["mean_ms"]) > 0
 
 
-def test_non_timing_columns_reproducible():
-    cfg = small_config(algo="ct", doclen_source="geometric:30")
+@pytest.mark.parametrize("algo", bench.ALGORITHMS)
+def test_non_timing_columns_reproducible(algo):
+    cfg = small_config(algo=algo, doclen_source="geometric:30")
     first = run_config(cfg)
     second = run_config(cfg)
     for column in NON_TIMING:

@@ -20,22 +20,6 @@ def test_single_tap_is_identity():
     assert np.array_equal(op.blocks[0], np.eye(4))
 
 
-def test_circulant_shift_example():
-    op = build_operator([3], [0.0, 1.0], mode="circulant")
-    assert np.array_equal(op.blocks[0], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-
-
-def test_circulant_wraps_long_filters():
-    # Taps wrap mod L and accumulate.
-    op = build_operator([2], [1.0, 0.0, 1.0], mode="circulant")
-    assert np.array_equal(op.blocks[0], [[2, 0], [0, 2]])
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        build_operator([3], [1.0], mode="hankel")
-
-
 def test_apply_matches_hand_summation():
     op = build_operator([3], [1.0, 1.0])
     assert np.array_equal(op.apply(np.array([1.0, 2.0, 3.0])), [1.0, 3.0, 5.0])

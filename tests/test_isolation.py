@@ -13,7 +13,6 @@ from rubiconv import (
     convolve,
     ct_convolve,
 )
-from rubiconv.linalg import GEMM_MODES
 from rubiconv.packing import _span_positions
 
 
@@ -21,14 +20,11 @@ def _variants(lengths, filter_len, k):
     plan = build_plan(lengths, filter_len, k)
     ct_layout = build_ct_layout(lengths, filter_len)
     variants = {
-        f"grid-{'fused' if fused else 'unfused'}-{mode}": (
+        f"grid-{'fused' if fused else 'unfused'}": (
             plan.layout,
-            lambda sig, bank, fused=fused, mode=mode: convolve(
-                plan, sig, bank, fused=fused, gemm_mode=mode
-            ),
+            lambda sig, bank, fused=fused: convolve(plan, sig, bank, fused=fused),
         )
         for fused in (True, False)
-        for mode in GEMM_MODES
     }
     variants["ct"] = (ct_layout, lambda sig, bank: ct_convolve(sig, bank, ct_layout))
     return variants

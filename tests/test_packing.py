@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_doc_lengths
-from rubiconv import build_ct_layout, build_layout
+from rubiconv import (
+    build_ct_layout,
+    build_layout,
+    build_operator,
+    build_plan,
+    dft_matrix,
+    oracle_convolve,
+)
 from rubiconv.packing import IndexMap, build_p1, build_p2, build_pre_ifft_map, width_groups
 
 
@@ -45,6 +52,30 @@ def test_layout_builders_reject_the_same_inputs(doc_lengths, filter_len):
             build(doc_lengths, filter_len)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def test_sizes_with_a_fraction_are_rejected_and_whole_ones_accepted():
+    fractional = (
+        lambda: build_plan([3.7, 2], 2, 4),
+        lambda: build_plan([3, 2], 2.9, 4),
+        lambda: build_plan([3, 2], 2, 4.5),
+        lambda: build_ct_layout([3.7, 2], 2),
+        lambda: build_operator([2.5, 1], np.ones(2)),
+        lambda: oracle_convolve([2.5, 1], np.ones(3), np.ones(2)),
+        lambda: dft_matrix(2.5),
+    )
+    for call in fractional:
+        with pytest.raises(ValueError, match="must be a whole number"):
+            call()
+
+    # Python and numpy integers and whole floats are the sizes they name.
+    layout = build_plan([np.int64(3), 2.0], np.int32(2), 4.0).layout
+    assert layout == build_layout([3, 2], 2, 4)
+    assert all(type(v) is int for v in (*layout.doc_lengths, layout.filter_len, layout.k))
+    assert build_ct_layout([3.0, np.int16(2)], 2.0) == build_ct_layout([3, 2], 2)
+    assert np.array_equal(build_operator([3.0], np.ones(2)).blocks[0], [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    assert np.array_equal(oracle_convolve([2.0, 1], np.ones(3), np.ones(2)), [1, 2, 1])
+    assert np.array_equal(dft_matrix(np.int64(4)), dft_matrix(4.0))
 
 
 def test_layout_invariants_random():

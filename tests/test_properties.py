@@ -28,7 +28,6 @@ from rubiconv import (  # noqa: E402
     inverse,
     naive_dft,
 )
-from rubiconv.linalg import GEMM_MODES  # noqa: E402
 from rubiconv.transform import convolve_cmuls  # noqa: E402
 
 BOUNDED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -130,10 +129,9 @@ def test_perturbing_a_suffix_leaves_earlier_outputs_and_other_documents(case):
 @example(INTERLEAVED)
 def test_counted_convolve_matches_convolve_cmuls(case):
     plan, sig, bank, _ = _signal_and_bank(case)
-    for mode in GEMM_MODES:
-        with count_ops() as counts:
-            convolve(plan, sig, bank, gemm_mode=mode)
-        assert counts.complex_muls == convolve_cmuls(plan.layout, sig.channels)
+    with count_ops() as counts:
+        convolve(plan, sig, bank)
+    assert counts.complex_muls == convolve_cmuls(plan.layout, sig.channels)
 
 
 @BOUNDED

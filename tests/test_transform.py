@@ -405,24 +405,22 @@ def _pruning_cases():
         yield plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("mode", ["standard", "karatsuba"])
-def test_skip_zero_rows_never_reads_rows_past_the_live_ones(mode):
+def test_skip_zero_rows_never_reads_rows_past_the_live_ones():
     for plan, grid in _pruning_cases():
         zeroed, poisoned = grid.copy(), grid.copy()
         for col, (group, _) in enumerate(_group_local_cols(plan)):
             zeroed[group.live_rows :, col] = 0
             poisoned[group.live_rows :, col] = np.nan
-        expected = transform_grid(plan, zeroed, mode)
-        got = transform_grid(plan, poisoned, mode, skip_zero_rows=True)
+        expected = transform_grid(plan, zeroed)
+        got = transform_grid(plan, poisoned, skip_zero_rows=True)
         assert np.all(np.isfinite(got))
         assert rel_err(got, expected) <= 1e-12
 
 
-@pytest.mark.parametrize("mode", ["standard", "karatsuba"])
-def test_skip_unread_cols_zeroes_exactly_the_columns_past_the_live_ones(mode):
+def test_skip_unread_cols_zeroes_exactly_the_columns_past_the_live_ones():
     for plan, grid in _pruning_cases():
-        expected = transform_grid(plan, grid, mode)
-        got = transform_grid(plan, grid, mode, skip_unread_cols=True)
+        expected = transform_grid(plan, grid)
+        got = transform_grid(plan, grid, skip_unread_cols=True)
         live = np.array([c < g.live_cols for g, c in _group_local_cols(plan)])
         assert np.all(got[~live] == 0)
         assert rel_err(got[live], expected[live]) <= 1e-12
@@ -440,33 +438,21 @@ def test_fused_matches_unfused_reference_path():
         assert rel_err(fused.values, unfused.values) <= 1e-10
 
 
-def test_karatsuba_mode_matches_standard():
-    rng = np.random.default_rng(14)
-    lengths = [5, 9, 2]
-    plan = build_plan(lengths, filter_len=4, k=4)
-    n = plan.layout.total_padded
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert rel_err(forward(plan, x, gemm_mode="karatsuba"), forward(plan, x)) <= 1e-12
-    sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, 2))
-    bank = FilterBank(rng.standard_normal((4, 2)))
-    a = convolve(plan, sig, bank, gemm_mode="karatsuba")
-    b = convolve(plan, sig, bank)
-    assert rel_err(a.values, b.values) <= 1e-12
-
-
-def test_unknown_gemm_mode_rejected_by_every_pipeline():
+def test_pipeline_entry_points_take_no_gemm_mode():
+    # The grid pipeline runs standard GEMMs only; linalg.gemm keeps its modes.
     plan = build_plan([5, 9, 2], filter_len=4, k=4)
     n = plan.layout.total_padded
     sig = PackedSignal.from_documents(plan.layout, [np.ones((length, 2)) for length in (5, 9, 2)])
     bank = FilterBank(np.ones((4, 2)))
+    grid = np.ones((4, plan.layout.total_cols))
     calls = (
-        lambda: forward(plan, np.ones(n), gemm_mode="strassen"),
-        lambda: inverse(plan, np.ones(n), gemm_mode="strassen"),
-        lambda: convolve(plan, sig, bank, gemm_mode="strassen"),
-        lambda: convolve(plan, sig, bank, fused=False, gemm_mode="strassen"),
+        lambda: forward(plan, np.ones(n), gemm_mode="standard"),
+        lambda: inverse(plan, np.ones(n), gemm_mode="standard"),
+        lambda: convolve(plan, sig, bank, gemm_mode="standard"),
+        lambda: transform_grid(plan, grid, "standard"),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="unknown gemm mode 'strassen'"):
+        with pytest.raises(TypeError):
             call()
 
 
