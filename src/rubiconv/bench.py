@@ -178,35 +178,35 @@ def _run_oracle(doc_lengths, docs, taps) -> np.ndarray:
     )
 
 
-def _pad_ratio(span_lengths, doc_lengths, filter_len) -> float:
-    return sum(span_lengths) / sum(_causal_spans(doc_lengths, filter_len)[2])
+def _padded_layout(cfg: BenchConfig, doc_lengths):
+    """The padded layout a transform algorithm runs on; None for the direct baselines."""
+    if cfg.algo in ("rubiconv", "rubiconv-conv-only"):
+        return build_layout(doc_lengths, cfg.filter_len, cfg.k)
+    if cfg.algo == "ct":
+        return build_ct_layout(doc_lengths, cfg.filter_len)
+    return None
 
 
-def _make_runner(cfg: BenchConfig, doc_lengths, docs, taps) -> tuple[Callable[[], np.ndarray], float]:
-    """Build the timed callable and the padding ratio for one config."""
+def _make_runner(cfg: BenchConfig, doc_lengths, docs, taps, layout) -> Callable[[], np.ndarray]:
+    """Build the timed callable for one config."""
     bank = FilterBank(taps)
     if cfg.algo == "rubiconv":
-        layout = build_layout(doc_lengths, cfg.filter_len, cfg.k)
-        ratio = _pad_ratio(layout.span_lengths, doc_lengths, cfg.filter_len)
 
         def run() -> np.ndarray:
             plan = build_plan(doc_lengths, cfg.filter_len, cfg.k)
             sig = PackedSignal.from_documents(plan.layout, docs)
             return convolve(plan, sig, bank).valid_values()
 
-        return run, ratio
+        return run
 
     if cfg.algo == "rubiconv-conv-only":
         plan = build_plan(doc_lengths, cfg.filter_len, cfg.k)
         sig = PackedSignal.from_documents(plan.layout, docs)
-        ratio = _pad_ratio(plan.layout.span_lengths, doc_lengths, cfg.filter_len)
-        return lambda: convolve(plan, sig, bank).valid_values(), ratio
+        return lambda: convolve(plan, sig, bank).valid_values()
 
     if cfg.algo == "ct":
-        layout = build_ct_layout(doc_lengths, cfg.filter_len)
         sig = PackedSignal.from_documents(layout, docs)
-        ratio = _pad_ratio(layout.span_lengths, doc_lengths, cfg.filter_len)
-        return lambda: ct_convolve(sig, bank, layout).valid_values(), ratio
+        return lambda: ct_convolve(sig, bank, layout).valid_values()
 
     if cfg.algo == "full-matrix":
         operators = [build_operator(doc_lengths, taps[:, d]) for d in range(cfg.model_dim)]
@@ -217,13 +217,13 @@ def _make_runner(cfg: BenchConfig, doc_lengths, docs, taps) -> tuple[Callable[[]
                 [op.apply(packed[:, d]) for d, op in enumerate(operators)], axis=1
             )
 
-        return run, 1.0
+        return run
 
     # naive: iterate documents, direct causal convolution per channel.
-    return lambda: _run_oracle(doc_lengths, docs, taps), 1.0
+    return lambda: _run_oracle(doc_lengths, docs, taps)
 
 
-def _analytic_count(cfg: BenchConfig, doc_lengths) -> int:
+def _analytic_count(cfg: BenchConfig, doc_lengths, layout) -> int:
     """Closed-form op count of one run; must track what the counters record.
 
     ``test_bench`` pins each formula against a counted run, so count-only
@@ -235,49 +235,34 @@ def _analytic_count(cfg: BenchConfig, doc_lengths) -> int:
     if cfg.algo == "full-matrix":
         return sum(length * length for length in doc_lengths) * cfg.model_dim
     if cfg.algo == "ct":
-        layout = build_ct_layout(doc_lengths, cfg.filter_len)
         # Three transforms at (p/2) log2 p butterflies per span p, plus the
         # point-wise product.
         butterflies = sum((p // 2) * (p.bit_length() - 1) for p in layout.pow2_lengths)
         per_channel = 3 * butterflies + layout.total_padded
         return per_channel * cfg.model_dim
-    return convolve_cmuls(build_layout(doc_lengths, cfg.filter_len, cfg.k), cfg.model_dim)
+    return convolve_cmuls(layout, cfg.model_dim)
 
 
 def run_config(cfg: BenchConfig) -> dict:
     """Run one configuration: oracle gate, counts, timing.  Returns a CSV row."""
     doc_lengths = resolve_doc_lengths(cfg)
-    row = {
-        "algo": cfg.algo,
-        "L_total": cfg.seq_len,
-        "D": cfg.model_dim,
-        "L_F": cfg.filter_len,
-        "k": cfg.k,
-        "n_docs": len(doc_lengths),
-        "mean_ms": "",
-        "ci95_ms": "",
-        "complex_muls": "",
-        "pad_ratio": "",
-        "status": "ok",
-    }
+    layout = _padded_layout(cfg, doc_lengths)
+    # Padded length over the causality-padded total; the direct baselines pad nothing.
+    ratio = 1.0
+    if layout is not None:
+        ratio = sum(layout.span_lengths) / sum(_causal_spans(doc_lengths, cfg.filter_len)[2])
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(algo=cfg.algo, L_total=cfg.seq_len, D=cfg.model_dim, L_F=cfg.filter_len, k=cfg.k)
+    row.update(n_docs=len(doc_lengths), status="ok")
 
     if cfg.count_only:
-        if cfg.algo in ("rubiconv", "rubiconv-conv-only"):
-            layout = build_layout(doc_lengths, cfg.filter_len, cfg.k)
-            ratio = _pad_ratio(layout.span_lengths, doc_lengths, cfg.filter_len)
-        elif cfg.algo == "ct":
-            layout = build_ct_layout(doc_lengths, cfg.filter_len)
-            ratio = _pad_ratio(layout.span_lengths, doc_lengths, cfg.filter_len)
-        else:
-            ratio = 1.0
-        row["complex_muls"] = _analytic_count(cfg, doc_lengths)
-        row["pad_ratio"] = f"{ratio:.6f}"
-        row["status"] = "count-only"
+        count = _analytic_count(cfg, doc_lengths, layout)
+        row.update(complex_muls=count, pad_ratio=f"{ratio:.6f}", status="count-only")
         return row
 
     docs, taps = make_inputs(doc_lengths, cfg.model_dim, cfg.filter_len, cfg.seed)
     try:
-        runner, ratio = _make_runner(cfg, doc_lengths, docs, taps)
+        runner = _make_runner(cfg, doc_lengths, docs, taps, layout)
     except MatrixBudgetExceeded as exc:
         row["status"] = f"skipped: {exc}".replace(",", ";")
         return row
@@ -291,9 +276,8 @@ def run_config(cfg: BenchConfig) -> dict:
     max_rel = float(np.max(np.abs(out - reference))) / scale
     if max_rel > ORACLE_GATE_TOL:
         raise OracleGateError(cfg.algo, max_rel)
-    row["complex_muls"] = (
-        counts.complex_muls if cfg.algo in ("rubiconv", "rubiconv-conv-only", "ct") else counts.real_muls
-    )
+    # Transforms count complex multiplications, direct baselines real MACs.
+    row["complex_muls"] = counts.real_muls if layout is None else counts.complex_muls
 
     for _ in range(cfg.warmup):
         runner()
@@ -336,7 +320,18 @@ def write_rows(rows: Sequence[dict], stream) -> None:
         writer.writerow(row)
 
 
+def _source(kind: str, convert: Callable[[str], object]) -> Callable[[str], str]:
+    """An argparse type that writes a ``doclen_source`` string, e.g. ``fixed:8``."""
+
+    def parse(text: str) -> str:
+        return f"{kind}:{convert(text)}"
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI; every flag but ``--sweep`` and ``--out`` sets the BenchConfig field of its name."""
     parser = argparse.ArgumentParser(
         prog="rubiconv-bench",
         description="Benchmark boundary-respecting packed convolutions.",
@@ -349,12 +344,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=5)
     parser.add_argument("--warmup", type=int, default=5)
+    # With no source flag, doclen_source is absent and BenchConfig's default applies.
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--doclens", metavar="PATH", help="length file, one integer per line")
-    source.add_argument("--fixed-docs", type=int, metavar="N", help="N near-equal documents")
-    source.add_argument(
-        "--geometric-mean", type=float, metavar="M", help="geometric lengths with mean M"
-    )
+    for flag, kind, convert, metavar, help_text in (
+        ("--doclens", "file", str, "PATH", "length file, one integer per line"),
+        ("--fixed-docs", "fixed", int, "N", "N near-equal documents"),
+        ("--geometric-mean", "geometric", float, "M", "geometric lengths with mean M"),
+    ):
+        source.add_argument(
+            flag, dest="doclen_source", default=argparse.SUPPRESS,
+            type=_source(kind, convert), metavar=metavar, help=help_text,
+        )
     parser.add_argument("--sweep", metavar="PARAM=V1,V2,...", help=f"sweep one of {sorted(SWEEP_PARAMS)}")
     parser.add_argument("--out", default="-", help="CSV output path, '-' for stdout")
     parser.add_argument(
@@ -366,39 +366,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    if args.doclens is not None:
-        source = f"file:{args.doclens}"
-    elif args.fixed_docs is not None:
-        source = f"fixed:{args.fixed_docs}"
-    elif args.geometric_mean is not None:
-        source = f"geometric:{args.geometric_mean}"
-    else:
-        source = "fixed:8"
+    fields = vars(build_arg_parser().parse_args(argv))
+    sweep, out = fields.pop("sweep"), fields.pop("out")
     try:
-        cfg = BenchConfig(
-            algo=args.algo,
-            seq_len=args.seq_len,
-            model_dim=args.model_dim,
-            filter_len=args.filter_len,
-            k=args.k,
-            seed=args.seed,
-            trials=args.trials,
-            warmup=args.warmup,
-            doclen_source=source,
-            count_only=args.count_only,
-        )
-        rows = run_bench(cfg, args.sweep)
+        rows = run_bench(BenchConfig(**fields), sweep)
     except OracleGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out == "-":
+    if out == "-":
         write_rows(rows, sys.stdout)
     else:
-        with open(args.out, "w", newline="") as handle:
+        with open(out, "w", newline="") as handle:
             write_rows(rows, handle)
     return 0
 

@@ -218,30 +218,29 @@ def transform_grid(
     width = int(np.prod(grid.shape[2:], dtype=np.int64))
     cells = grid.reshape(k, m_total * width).T
 
-    # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major.
-    # Pruned, each width group contracts over its live rows only.
+    # Width groups are contiguous, and each runs its three stages in turn.
+    # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major;
+    # pruned, a group contracts over its live rows only.  The twiddle is
+    # applied in place, and the block stage runs as capped stacks (see the
+    # module notes).  Each stack's result goes back into the memory its
+    # documents held in ``work``, with channels last, so that a cell's
+    # channels are contiguous for the stages that follow.  The GEMM has
+    # already returned its own array, and no other stack reads those
+    # documents.
     work = np.empty((m_total, width, k), dtype=np.complex128)
-    runs = [(g.first_col, g.live_rows) for g in plan.groups] if skip_zero_rows else [(0, k)]
-    for (lo, n_rows), (hi, _) in zip(runs, runs[1:] + [(m_total, 0)]):
-        m1 = plan.m1 if n_rows == k else plan.m1[:n_rows]
-        gemm(cells[lo * width : hi * width, :n_rows], m1, out=work[lo:hi].reshape(-1, k))
-    # Twiddle stage, per width group in place.
-    counting.add_complex_muls(work.size, real_muls_each=4)
-    for group, twiddle in zip(plan.groups, plan.twiddles):
-        docs = work[group.cols].reshape(group.n_docs, group.width, width, k)
-        docs *= twiddle[:, None, :]
-    # Width groups are contiguous and run as capped stacks (see the module
-    # notes).  Each stack's result goes back into the memory its documents
-    # held in ``work``, with channels last, so that a cell's channels are
-    # contiguous for the stages that follow.  The GEMM has already returned
-    # its own array, and no other stack reads those documents.
+    counting.add_complex_muls(work.size, real_muls_each=4)  # the twiddles
     m_max = plan.groups[-1].width
-    for group, dft in zip(plan.groups, plan.m2):
-        m_i, step = group.width, m_max // group.width
+    for group, twiddle, dft in zip(plan.groups, plan.twiddles, plan.m2):
+        m_i, cols, step = group.width, group.cols, m_max // group.width
+        m1 = plan.m1[: group.live_rows] if skip_zero_rows else plan.m1
+        group_cells = cells[cols.start * width : cols.stop * width, : len(m1)]
+        gemm(group_cells, m1, out=work[cols].reshape(-1, k))
+        docs = work[cols].reshape(-1, m_i, width, k)
+        docs *= twiddle[:, None, :]
         keep = group.live_cols if skip_unread_cols else m_i
         m2 = dft[:keep]
-        rows = work[group.cols].reshape(-1, m_i, width * k)
-        blocks = work[group.cols].reshape(-1, m_i, k, width)
+        rows = work[cols].reshape(-1, m_i, width * k)
+        blocks = work[cols].reshape(-1, m_i, k, width)
         for lo in range(0, group.n_docs, step):
             stack = blocks[lo : lo + step]
             # One statement, so each GEMM result is freed before the next.

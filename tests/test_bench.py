@@ -136,9 +136,9 @@ def test_full_matrix_budget_skip_row(monkeypatch):
 def test_oracle_gate_failure_raises(monkeypatch):
     original = bench._make_runner
 
-    def corrupted(cfg, doc_lengths, docs, taps):
-        runner, ratio = original(cfg, doc_lengths, docs, taps)
-        return (lambda: runner() + 1.0), ratio
+    def corrupted(*args):
+        runner = original(*args)
+        return lambda: runner() + 1.0
 
     monkeypatch.setattr(bench, "_make_runner", corrupted)
     with pytest.raises(OracleGateError):
@@ -246,6 +246,30 @@ def test_cli_doclens_file(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith("algo,")
+
+
+@pytest.mark.parametrize(
+    "flags, source",
+    [
+        (["--doclens", "{lens}"], "file:{lens}"),
+        (["--fixed-docs", "3"], "fixed:3"),
+        (["--geometric-mean", "20"], "geometric:20"),
+        ([], "fixed:8"),
+    ],
+)
+def test_main_source_flags_set_doclen_source(tmp_path, flags, source):
+    lens = tmp_path / "lens.txt"
+    lens.write_text("5\n17\n30\n")
+    out = tmp_path / "rows.csv"
+    common = dict(seq_len=96, model_dim=2, filter_len=9, k=8, trials=1, warmup=0)
+    argv = [f"--{name.replace('_', '-')}={value}" for name, value in common.items()]
+    argv += [flag.format(lens=lens) for flag in flags] + ["--out", str(out)]
+    assert bench.main(argv) == 0
+    with open(out) as handle:
+        (written,) = list(csv.DictReader(handle))
+    expected = run_config(BenchConfig("rubiconv", doclen_source=source.format(lens=lens), **common))
+    for column in NON_TIMING:
+        assert written[column] == str(expected[column])
 
 
 def test_cli_sweep_stdout():

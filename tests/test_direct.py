@@ -46,6 +46,13 @@ def test_apply_length_mismatch():
         op.apply(np.zeros(4))
 
 
+def test_rejects_zero_lengths_and_wrong_length_input():
+    with pytest.raises(ValueError):
+        build_operator([3, 0], [1.0])
+    with pytest.raises(ValueError):
+        oracle_convolve([3], np.zeros(4), [1.0])
+
+
 def test_toeplitz_blocks_are_lower_triangular():
     rng = np.random.default_rng(1)
     op = build_operator([5, 9, 2], rng.standard_normal(4))

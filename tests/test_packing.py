@@ -276,3 +276,5 @@ def test_apply_matches_scatter_on_random_bijections():
         # A column-major grid holding the same values gives the same result.
         column_major = np.ascontiguousarray(values.swapaxes(0, 1)).swapaxes(0, 1)
         assert np.array_equal(index_map.apply(column_major), expected.reshape(values.shape))
+        with pytest.raises(ValueError):
+            index_map.apply(values[1:])

@@ -56,6 +56,16 @@ def test_filter_bank_rejects_zero_channels():
         FilterBank(np.zeros((3, 0)))
 
 
+def test_signal_and_filter_bank_reject_bad_shapes():
+    layout = build_layout([3, 5], filter_len=2, k=2)
+    with pytest.raises(ValueError):
+        FilterBank(np.zeros((3, 1, 1)))
+    with pytest.raises(ValueError):
+        PackedSignal(np.zeros((layout.total_padded, 1, 1)), layout)
+    with pytest.raises(ValueError):
+        PackedSignal(np.zeros((layout.total_padded + 1, 1)), layout)
+
+
 def test_packed_signal_rejects_any_nonzero_padding_position():
     layout = build_layout([3, 1, 6], filter_len=4, k=4)
     zeros = np.zeros((layout.total_padded, 2))

@@ -147,6 +147,8 @@ def test_forward_length_mismatch():
     plan = build_plan([5], filter_len=2, k=2)
     with pytest.raises(ValueError):
         forward(plan, np.zeros(3, dtype=complex))
+    with pytest.raises(ValueError):
+        transform_grid(plan, np.zeros((plan.k, plan.layout.total_cols + 1), dtype=complex))
 
 
 def test_forward_complex_mul_count_is_exact():
