@@ -370,17 +370,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     sweep, out = fields.pop("sweep"), fields.pop("out")
     try:
         rows = run_bench(BenchConfig(**fields), sweep)
+        if out == "-":
+            write_rows(rows, sys.stdout)
+        else:
+            with open(out, "w", newline="") as handle:
+                write_rows(rows, handle)
     except OracleGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a bad flag, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if out == "-":
-        write_rows(rows, sys.stdout)
-    else:
-        with open(out, "w", newline="") as handle:
-            write_rows(rows, handle)
     return 0
 
 

@@ -54,17 +54,26 @@ Inside ``convolve`` only, both transforms skip the causal padding, per
 width group w of c_w columns (``packing.WidthGroup``).  The input is zero
 at and past each document's length L_i, and a row-major load puts
 positions t < L_i in rows r < ceil(L_i / m_i), so the forward's k-point
-GEMM contracts over the group's first r_w = max ceil(L_i / m_i) rows only.
+stage contracts over the group's first r_w = max ceil(L_i / m_i) rows only.
 Only times t < L_i are kept, and the inverse's output cell (a, b) holds
 time b * k + a, so its block stage computes only the first
 b_w = max ceil(L_i / k) columns of each block and writes zeros into the
 rest.  ``forward``, ``inverse`` and a default ``transform_grid`` call run
 the full transform, k^2 m_total + k * sum(m_i^2) + k m_total complex
-multiplications per channel.  A convolution over D channels counts
-(``convolve_cmuls``)
+multiplications per channel.
 
-    D * (k * sum_w c_w r_w + k m_total + k * sum_i m_i^2)
-      + ceil(D/2) * (k^2 m_total + k m_total + k * sum_i m_i b_w(i))
+Those two pruned calls also factor the k-point stage, as Bailey's six-step
+FFT does, where k = k1 * k2 and k1, the largest divisor of k not above
+sqrt(k), is at least 16 (k = 256 = 16 * 16 and 512 = 16 * 32 factor,
+k = 64 does not).  With input row a = n1 * k2 + n2, a k1-point GEMM per
+n2, with the inner twiddle folded in, runs over the n1 blocks that hold
+the rows read, then one k2-point GEMM completes the stage; both matrices
+are strided views of M1.  A grid column whose first r rows are read costs
+K(r) = k1 * r + k * k2 multiplications instead of K(r) = k * r.  A
+convolution over D channels counts (``convolve_cmuls``)
+
+    D * (sum_w c_w K(r_w) + k m_total + k * sum_i m_i^2)
+      + ceil(D/2) * (m_total K(k) + k m_total + k * sum_i m_i b_w(i))
       + 2 k m_total D
 
 complex multiplications: the pruned forward, the paired, pruned inverse,
@@ -74,6 +83,7 @@ and per cell and channel two for the fused split and product: the product
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -168,11 +178,16 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
 def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     """Complex multiplications one fused ``convolve`` call counts (see the module notes)."""
     k, m_total, groups = layout.k, layout.total_cols, width_groups(layout)
-    k_stage = k * sum(g.n_docs * g.width * g.live_rows for g in groups)
+    k1, k2 = _k_factors(k)
+
+    def k_stage(rows: int) -> int:  # per grid column reading ``rows`` rows
+        return k1 * rows + k * k2 if k1 > 1 else k * rows
+
     blocks = k * sum(g.n_docs * g.width * g.width for g in groups)
     live_blocks = k * sum(g.n_docs * g.width * g.live_cols for g in groups)
-    forward = k_stage + k * m_total + blocks
-    inverse = k * k * m_total + k * m_total + live_blocks
+    forward = sum(g.n_docs * g.width * k_stage(g.live_rows) for g in groups)
+    forward += k * m_total + blocks
+    inverse = m_total * k_stage(k) + k * m_total + live_blocks
     return channels * forward + (channels + 1) // 2 * inverse + 2 * k * m_total * channels
 
 
@@ -203,12 +218,13 @@ def transform_grid(
 
     Two flags prune the causal padding, per width group (``plan.groups``).
     ``skip_zero_rows`` promises that every document's input is zero at and
-    past its length L_i: the k-point GEMM then reads only the group's first
-    ``live_rows`` grid rows, and the rows past them are never read.
+    past its length L_i: the k-point stage then reads only the group's
+    first ``live_rows`` grid rows, and the rows past them are never read.
     ``skip_unread_cols`` says that only outputs at times t < L_i are read:
     the block stage then computes only the group's ``live_cols`` output
     columns and writes zeros into the rest.  Without them the transform is
-    the full padded-length DFT.
+    the full padded-length DFT.  With either, the k-point stage runs as two
+    GEMM passes where ``_k_factors`` splits k.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     layout = plan.layout
@@ -216,41 +232,105 @@ def transform_grid(
     if grid.shape[:2] != (k, m_total):
         raise ValueError(f"grid leading shape {grid.shape} does not match {(k, m_total)}")
     width = int(np.prod(grid.shape[2:], dtype=np.int64))
-    cells = grid.reshape(k, m_total * width).T
+    rows = grid.reshape(k, m_total * width)
+    cells = rows.T
 
     # Width groups are contiguous, and each runs its three stages in turn.
     # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major;
-    # pruned, a group contracts over its live rows only.  The twiddle is
-    # applied in place, and the block stage runs as capped stacks (see the
-    # module notes).  Each stack's result goes back into the memory its
-    # documents held in ``work``, with channels last, so that a cell's
-    # channels are contiguous for the stages that follow.  The GEMM has
-    # already returned its own array, and no other stack reads those
-    # documents.
+    # pruned, a group contracts over its live rows only, and the twiddle is
+    # applied in place.  The block stage runs as capped stacks (see the
+    # module notes), each GEMM writing into ``scratch``, the size of the
+    # largest stack: one document of the widest group, m_max columns.  The
+    # result goes back into the memory the stack's documents held in
+    # ``work``, with channels last, so that a cell's channels are contiguous
+    # for the stages that follow.  The two-pass k-point stage runs per
+    # stack, and leaves each cell's frequencies f = f1 + k1 * f2 in
+    # (f1, f2) order; the write-back restores natural order.  One GEMM is
+    # k1 = 1, where the two orders agree.
+    k1, k2 = _k_factors(k) if skip_zero_rows or skip_unread_cols else (1, k)
     work = np.empty((m_total, width, k), dtype=np.complex128)
     counting.add_complex_muls(work.size, real_muls_each=4)  # the twiddles
     m_max = plan.groups[-1].width
+    scratch = np.empty(m_max * width * k, dtype=np.complex128)
     for group, twiddle, dft in zip(plan.groups, plan.twiddles, plan.m2):
         m_i, cols, step = group.width, group.cols, m_max // group.width
-        m1 = plan.m1[: group.live_rows] if skip_zero_rows else plan.m1
-        group_cells = cells[cols.start * width : cols.stop * width, : len(m1)]
-        gemm(group_cells, m1, out=work[cols].reshape(-1, k))
-        docs = work[cols].reshape(-1, m_i, width, k)
-        docs *= twiddle[:, None, :]
+        if k1 == 1:
+            m1 = plan.m1[: group.live_rows] if skip_zero_rows else plan.m1
+            group_cells = cells[cols.start * width : cols.stop * width, : len(m1)]
+            gemm(group_cells, m1, out=work[cols].reshape(-1, k))
+            docs = work[cols].reshape(-1, m_i, width, k)
+            docs *= twiddle[:, None, :]
+        else:
+            live = group.live_rows if skip_zero_rows else k
+            # The table in (f1, f2) order.
+            twiddle = twiddle.reshape(m_i, k2, k1).transpose(0, 2, 1).reshape(m_i, k)
         keep = group.live_cols if skip_unread_cols else m_i
         m2 = dft[:keep]
-        rows = work[cols].reshape(-1, m_i, width * k)
-        blocks = work[cols].reshape(-1, m_i, k, width)
-        for lo in range(0, group.n_docs, step):
-            stack = blocks[lo : lo + step]
-            # One statement, so each GEMM result is freed before the next.
-            stack[:, :keep] = (
-                gemm(m2, rows[lo : lo + step])
-                .reshape(-1, keep, width, k)
-                .transpose(0, 1, 3, 2)
-            )
-            stack[:, keep:] = 0
+        for lo in range(cols.start, cols.stop, step * m_i):
+            hi = min(lo + step * m_i, cols.stop)
+            stack = work[lo:hi]
+            if k1 > 1:
+                x = rows[:, lo * width : hi * width]
+                _two_pass_k_stage(plan.m1, x, stack, twiddle, live, k1, scratch)
+            n_docs = (hi - lo) // m_i
+            out = scratch[: n_docs * keep * width * k].reshape(n_docs, keep, width * k)
+            gemm(m2, stack.reshape(n_docs, m_i, width * k), out=out)
+            blocks = stack.reshape(n_docs, m_i, k2, k1, width)
+            blocks[:, :keep] = out.reshape(n_docs, keep, width, k1, k2).transpose(0, 1, 4, 3, 2)
+            blocks[:, keep:] = 0
     return work.reshape((m_total, k) + grid.shape[2:])
+
+
+# convolve's pruned transforms run the k-point stage as two GEMM passes when
+# k = k1 * k2 and k1, the largest divisor of k not above sqrt(k), is at
+# least this.  Smaller factors lose: the short-docs workload at
+# k = 64 = 8 * 8 ran 1.8x slower in two passes, its many small stacks each
+# paying k2 + 1 GEMM calls.
+_MIN_FACTOR = 16
+
+
+def _k_factors(k: int) -> tuple[int, int]:
+    """(k1, k2) of the pruned two-pass k-point stage, or (1, k) for one GEMM."""
+    k1 = max(d for d in range(1, math.isqrt(k) + 1) if k % d == 0)
+    return (k1, k // k1) if k1 >= _MIN_FACTOR else (1, k)
+
+
+def _two_pass_k_stage(
+    m1: np.ndarray,
+    x: np.ndarray,
+    stack: np.ndarray,
+    twiddle: np.ndarray,
+    live: int,
+    k1: int,
+    scratch: np.ndarray,
+) -> None:
+    """k-point DFT and grid twiddle of one stack of documents, in two GEMM passes.
+
+    ``x`` is the stack's (k, columns * D) slice of the loaded grid, and
+    ``stack`` its (columns, D, k) memory in ``work``, which receives each
+    cell's frequencies f = f1 + k1 * f2 in (f1, f2) order; ``twiddle`` is
+    the group's table in that order.  With input row a = n1 * k2 + n2,
+    w_k^(f a) = w_k^(f1 (n1 k2 + n2)) * w_k2^(f2 n2).  The first pass runs,
+    per n2, the k1-point DFT over n1 with the inner twiddle w_k^(f1 n2)
+    folded in, into ``scratch``; the second runs the k2-point DFT over n2
+    as one GEMM.  Both matrices are strided views of M1.  The first pass
+    reads only rows a < ``live``: the last n1 block, which holds rows past
+    them, is read only for n2 < ``rem``.
+    """
+    k = stack.shape[-1]
+    k2, n = k // k1, x.shape[1]
+    n1 = -(-live // k2)  # n1 blocks holding live rows
+    rem = live - (n1 - 1) * k2  # live rows of the last one
+    x = x.reshape(k1, k2, n)  # [n1, n2, r]
+    y = scratch[: k * n].reshape(k2, n, k1)  # [n2, r, f1]
+    for n2 in range(k2):
+        blocks = n1 if n2 < rem else n1 - 1
+        # [n1, f1] = w_k^((n1 k2 + n2) f1)
+        gemm(x[:blocks, n2].T, m1[n2 : blocks * k2 : k2, :k1], out=y[n2])
+    # [n2, f2] = w_k^(n2 k1 f2) = w_k2^(n2 f2)
+    gemm(y.reshape(k2, n * k1).T, m1[::k1, :k2], out=stack.reshape(n * k1, k2))
+    cells = stack.reshape(-1, twiddle.shape[0], stack.shape[1], k)
+    cells *= twiddle[:, None, :]
 
 
 def forward(plan: RubiConvPlan, x: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rubiconv import bench
+from rubiconv import bench, build_layout
 from rubiconv.bench import (
     BenchConfig,
     DocLenDistribution,
@@ -162,6 +162,16 @@ def test_count_only_matches_counted_run(algo):
     assert counted["pad_ratio"] == analytic["pad_ratio"]
 
 
+@pytest.mark.parametrize("algo", ["rubiconv", "rubiconv-conv-only"])
+def test_count_only_matches_counted_run_at_a_factored_k(algo):
+    # At k = 256 = 16 * 16 convolve runs its k-point stage as two GEMM passes.
+    config = dict(algo=algo, seq_len=2048, k=256, filter_len=300, doclen_source="geometric:300")
+    cfg = small_config(**config, count_only=True)
+    assert max(build_layout(resolve_doc_lengths(cfg), cfg.filter_len, cfg.k).cols_per_doc) > 1
+    counted = run_config(small_config(**config, trials=1, warmup=0))
+    assert counted["complex_muls"] == run_config(cfg)["complex_muls"]
+
+
 @pytest.mark.parametrize("model_dim", [1, 3, 5])
 @pytest.mark.parametrize("algo", ["rubiconv", "rubiconv-conv-only"])
 def test_count_only_matches_counted_run_odd_model_dim(algo, model_dim):
@@ -301,3 +311,13 @@ def test_main_returns_nonzero_on_gate_failure(monkeypatch, capsys):
     monkeypatch.setattr(bench, "run_bench", explode)
     assert bench.main(["--algo", "rubiconv"]) == 1
     assert "oracle gate failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--doclens", "--out"])
+def test_main_exits_2_on_a_file_it_cannot_read_or_write(tmp_path, capsys, flag):
+    # A path that cannot be read or written is a bad flag, not a gate failure.
+    missing = tmp_path / "no-such-dir" / "file"
+    assert bench.main(["--count-only", "--seq-len", "64", flag, str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not missing.parent.exists()

@@ -33,11 +33,13 @@ def _variants(lengths, filter_len, k):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_value_stays_in_its_document(bad):
+    # At k = 256 = 16 * 16 convolve runs its k-point stage as two GEMM passes.
     rng = np.random.default_rng(20)
-    for lengths, channels in (([5, 9, 3], 4), ([1, 16, 2, 33, 7], 3), ([64, 1, 64], 2)):
+    cases = (([5, 9, 3], 4, 4), ([1, 16, 2, 33, 7], 3, 4), ([64, 1, 64], 2, 4))
+    for lengths, channels, k in cases + (([5, 300, 1, 700], 3, 256),):
         bank = FilterBank(rng.standard_normal((4, channels)))
         docs = random_documents(rng, lengths, channels)
-        for name, (layout, run) in _variants(lengths, 4, 4).items():
+        for name, (layout, run) in _variants(lengths, 4, k).items():
             for target in range(len(lengths)):
                 poisoned = [d.copy() for d in docs]
                 poisoned[target][len(poisoned[target]) // 2, channels - 1] = bad

@@ -3,9 +3,10 @@
 Packings draw document lengths whose grid widths interleave in document
 order (so the width-sorted grid really permutes column blocks), length-1
 documents, filters longer than every document, k = 1 and k larger than
-every document, and one or an odd number of channels.  The radix-2 path
-draws the same packings and ignores k.  Examples are derandomized, so a
-run is reproducible.
+every document (k = 256 and 512 among them, where ``convolve`` runs its
+k-point stage as two GEMM passes), and one or an odd number of channels.
+The radix-2 path draws the same packings and ignores k.  Examples are
+derandomized, so a run is reproducible.
 """
 
 import numpy as np
@@ -42,7 +43,7 @@ def packings(draw):
     )
     longest = max(lengths)
     filter_len = draw(st.one_of(st.integers(1, 12), st.integers(longest, longest + 20)))
-    k = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 8, 16]), st.integers(longest + 1, 2 * longest + 8)))
+    k = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 8, 16, 256, 512]), st.integers(longest + 1, 2 * longest + 8)))
     channels = draw(st.sampled_from([1, 2, 3, 5]))
     return lengths, filter_len, k, channels, draw(st.integers(0, 2**32 - 1))
 

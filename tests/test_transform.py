@@ -24,7 +24,7 @@ from rubiconv import (
     inverse,
     naive_dft,
 )
-from rubiconv.transform import _pair_channels, split_dual_real, transform_grid
+from rubiconv.transform import _k_factors, _pair_channels, split_dual_real, transform_grid
 
 
 def forward_vs_naive_worst(plan, x):
@@ -343,8 +343,9 @@ def test_split_chunks_of_one_column_match_a_single_chunk(monkeypatch):
     [
         (np.random.default_rng(19).geometric(1 / 32, size=400).tolist(), 32, 32),
         ([2048] * 4, 2048, 64),
+        ([2048] * 4, 2048, 256),
     ],
-    ids=["many-documents", "four-equal-documents"],
+    ids=["many-documents", "four-equal-documents", "four-equal-documents-k256"],
 )
 def test_fused_convolve_peak_memory_is_at_most_2_6_grids(lengths, filter_len, k):
     # One grid is the packed buffer as complex data.  The forward holds the
@@ -399,9 +400,11 @@ def _group_local_cols(plan):
 
 
 def _pruning_cases():
+    # k = 256 = 16 * 16 and 512 = 16 * 32 run convolve's k-point stage as
+    # two GEMM passes; documents up to 3k long span several grid columns.
     rng = np.random.default_rng(17)
-    for k in (1, 4, 16, 64):
-        lengths = random_doc_lengths(rng, max_docs=8, max_len=90)
+    for k in (1, 4, 16, 64, 256, 512):
+        lengths = random_doc_lengths(rng, max_docs=8, max_len=90 if k < 256 else 3 * k)
         plan = build_plan(lengths, filter_len=int(rng.choice([3, 200])), k=k)
         shape = (k, plan.layout.total_cols, int(rng.choice([1, 3])))
         yield plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -426,6 +429,13 @@ def test_skip_unread_cols_zeroes_exactly_the_columns_past_the_live_ones():
         live = np.array([c < g.live_cols for g, c in _group_local_cols(plan)])
         assert np.all(got[~live] == 0)
         assert rel_err(got[live], expected[live]) <= 1e-12
+
+
+def test_pruned_calls_factor_k_by_its_largest_divisor_up_to_its_root():
+    factored = {256: (16, 16), 512: (16, 32), 1024: (32, 32), 323: (17, 19)}
+    # 64 = 8 * 8 and 240 = 15 * 16 have k1 below 16; 257 is prime.
+    for k in (1, 64, 240, 257, *factored):
+        assert _k_factors(k) == factored.get(k, (1, k)), k
 
 
 def test_fused_matches_unfused_reference_path():
