@@ -153,7 +153,11 @@ def resolve_doc_lengths(cfg: BenchConfig) -> list[int]:
         base, rem = divmod(cfg.seq_len, n_docs)
         return [base + 1] * rem + [base] * (n_docs - rem)
     if source == "file":
-        return sample_packing(DocLenDistribution.from_file(arg), cfg.seq_len, cfg.seed)
+        try:
+            dist = DocLenDistribution.from_file(arg)
+        except OSError as exc:  # a file that cannot be read is a bad source
+            raise ValueError(f"cannot read doc-length file: {exc}") from exc
+        return sample_packing(dist, cfg.seq_len, cfg.seed)
     if source == "geometric":
         dist = DocLenDistribution.geometric(float(arg), seed=cfg.seed)
         return sample_packing(dist, cfg.seq_len, cfg.seed)
@@ -370,16 +374,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     sweep, out = fields.pop("sweep"), fields.pop("out")
     try:
         rows = run_bench(BenchConfig(**fields), sweep)
-        if out == "-":
-            write_rows(rows, sys.stdout)
-        else:
-            with open(out, "w", newline="") as handle:
-                write_rows(rows, handle)
     except OracleGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:  # a bad flag, or a file that cannot be read or written
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if out == "-":
+        write_rows(rows, sys.stdout)
+        return 0
+    try:
+        with open(out, "w", newline="") as handle:
+            write_rows(rows, handle)
+    except OSError as exc:  # an --out that cannot be written is a bad flag
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return 2
     return 0
 

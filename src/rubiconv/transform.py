@@ -17,7 +17,8 @@ blocks are sorted by width (see ``packing``), so all documents of width
 m_i form one contiguous (n_i, m_i, D*k) slab, and their m_i-point DFTs run
 as stacked GEMMs on views of it, with no copy in.  Each GEMM stacks at
 most m_max // m_i documents, m_max being the widest document's width, so
-no temporary is larger than one block of the widest document.  Each
+no temporary is larger than one block of the widest document, or than
+1/16 of the grid in a two-pass k-point stage (see below).  Each
 stack's result is written back, with the channels last, into the memory
 its documents held, and that array, read as (m_total, k, D), is what
 ``transform_grid`` returns.  In this cell-major spectrum, frequency
@@ -68,9 +69,14 @@ sqrt(k), is at least 16 (k = 256 = 16 * 16 and 512 = 16 * 32 factor,
 k = 64 does not).  With input row a = n1 * k2 + n2, a k1-point GEMM per
 n2, with the inner twiddle folded in, runs over the n1 blocks that hold
 the rows read, then one k2-point GEMM completes the stage; both matrices
-are strided views of M1.  A grid column whose first r rows are read costs
-K(r) = k1 * r + k * k2 multiplications instead of K(r) = k * r.  A
-convolution over D channels counts (``convolve_cmuls``)
+are strided views of M1.  The passes take each width group's columns in
+chunks of at least 1/16 of the grid, so their GEMM calls do not grow with
+the number of documents.  A grid column whose first r rows are read costs
+k1 * r + k * k2 multiplications in two passes and k * r in one, and each
+group takes the cheaper: K(r) = min(k * r, k1 * r + k * k2), and
+K(r) = k * r where k does not factor.  (At k = 256, two passes pay from
+r = 18 rows on.)  A convolution over D channels counts
+(``convolve_cmuls``)
 
     D * (sum_w c_w K(r_w) + k m_total + k * sum_i m_i^2)
       + ceil(D/2) * (m_total K(k) + k m_total + k * sum_i m_i b_w(i))
@@ -178,10 +184,10 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
 def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     """Complex multiplications one fused ``convolve`` call counts (see the module notes)."""
     k, m_total, groups = layout.k, layout.total_cols, width_groups(layout)
-    k1, k2 = _k_factors(k)
+    k1 = _k_factors(k)[0]
 
     def k_stage(rows: int) -> int:  # per grid column reading ``rows`` rows
-        return k1 * rows + k * k2 if k1 > 1 else k * rows
+        return min(k * rows, _k_stage_cmuls(rows, k, k1))
 
     blocks = k * sum(g.n_docs * g.width * g.width for g in groups)
     live_blocks = k * sum(g.n_docs * g.width * g.live_cols for g in groups)
@@ -237,46 +243,48 @@ def transform_grid(
 
     # Width groups are contiguous, and each runs its three stages in turn.
     # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major;
-    # pruned, a group contracts over its live rows only, and the twiddle is
-    # applied in place.  The block stage runs as capped stacks (see the
-    # module notes), each GEMM writing into ``scratch``, the size of the
-    # largest stack: one document of the widest group, m_max columns.  The
-    # result goes back into the memory the stack's documents held in
-    # ``work``, with channels last, so that a cell's channels are contiguous
-    # for the stages that follow.  The two-pass k-point stage runs per
-    # stack, and leaves each cell's frequencies f = f1 + k1 * f2 in
-    # (f1, f2) order; the write-back restores natural order.  One GEMM is
-    # k1 = 1, where the two orders agree.
+    # pruned, a group contracts over its live rows only.  Where that costs
+    # fewer multiplications, the k-point stage runs as two GEMM passes per
+    # chunk of the group's columns, and leaves each cell's frequencies
+    # f = f1 + k1 * f2 in (f1, f2) order; one GEMM is f1 = 1, where the two
+    # orders agree.  The twiddle is applied in place through a strided view
+    # of the table in that order.  The block stage runs as capped stacks
+    # (see the module notes), each GEMM writing into ``scratch``.  The
+    # result goes back, in natural order, into the memory the stack's
+    # documents held in ``work``, with channels last, so that a cell's
+    # channels are contiguous for the stages that follow.
     k1, k2 = _k_factors(k) if skip_zero_rows or skip_unread_cols else (1, k)
     work = np.empty((m_total, width, k), dtype=np.complex128)
     counting.add_complex_muls(work.size, real_muls_each=4)  # the twiddles
     m_max = plan.groups[-1].width
-    scratch = np.empty(m_max * width * k, dtype=np.complex128)
+    chunk = max(m_max, -(-m_total // _K_CHUNKS)) if k1 > 1 else m_max
+    scratch = np.empty(chunk * width * k, dtype=np.complex128)
     for group, twiddle, dft in zip(plan.groups, plan.twiddles, plan.m2):
         m_i, cols, step = group.width, group.cols, m_max // group.width
-        if k1 == 1:
-            m1 = plan.m1[: group.live_rows] if skip_zero_rows else plan.m1
-            group_cells = cells[cols.start * width : cols.stop * width, : len(m1)]
+        live = group.live_rows if skip_zero_rows else k
+        f1 = k1 if _k_stage_cmuls(live, k, k1) < k * live else 1
+        if f1 == 1:
+            m1 = plan.m1[:live] if skip_zero_rows else plan.m1
+            group_cells = cells[cols.start * width : cols.stop * width, :live]
             gemm(group_cells, m1, out=work[cols].reshape(-1, k))
-            docs = work[cols].reshape(-1, m_i, width, k)
-            docs *= twiddle[:, None, :]
         else:
-            live = group.live_rows if skip_zero_rows else k
-            # The table in (f1, f2) order.
-            twiddle = twiddle.reshape(m_i, k2, k1).transpose(0, 2, 1).reshape(m_i, k)
+            for lo in range(cols.start, cols.stop, chunk):
+                hi = min(lo + chunk, cols.stop)
+                x = rows[:, lo * width : hi * width]
+                _two_pass_k_stage(plan.m1, x, work[lo:hi], live, k1, scratch)
+        f2 = k // f1
+        docs = work[cols].reshape(-1, m_i, width, f1, f2)
+        docs *= twiddle.reshape(m_i, f2, f1).transpose(0, 2, 1)[:, None]
         keep = group.live_cols if skip_unread_cols else m_i
         m2 = dft[:keep]
         for lo in range(cols.start, cols.stop, step * m_i):
             hi = min(lo + step * m_i, cols.stop)
             stack = work[lo:hi]
-            if k1 > 1:
-                x = rows[:, lo * width : hi * width]
-                _two_pass_k_stage(plan.m1, x, stack, twiddle, live, k1, scratch)
             n_docs = (hi - lo) // m_i
             out = scratch[: n_docs * keep * width * k].reshape(n_docs, keep, width * k)
             gemm(m2, stack.reshape(n_docs, m_i, width * k), out=out)
-            blocks = stack.reshape(n_docs, m_i, k2, k1, width)
-            blocks[:, :keep] = out.reshape(n_docs, keep, width, k1, k2).transpose(0, 1, 4, 3, 2)
+            blocks = stack.reshape(n_docs, m_i, f2, f1, width)
+            blocks[:, :keep] = out.reshape(n_docs, keep, width, f1, f2).transpose(0, 1, 4, 3, 2)
             blocks[:, keep:] = 0
     return work.reshape((m_total, k) + grid.shape[2:])
 
@@ -284,9 +292,16 @@ def transform_grid(
 # convolve's pruned transforms run the k-point stage as two GEMM passes when
 # k = k1 * k2 and k1, the largest divisor of k not above sqrt(k), is at
 # least this.  Smaller factors lose: the short-docs workload at
-# k = 64 = 8 * 8 ran 1.8x slower in two passes, its many small stacks each
-# paying k2 + 1 GEMM calls.
+# k = 64 = 8 * 8 ran about 1.15x slower in two passes, whose GEMMs then
+# contract over at most 8 rows.
 _MIN_FACTOR = 16
+
+# The two-pass stage runs over chunks of at least 1/_K_CHUNKS of the grid's
+# columns, and of at least m_max, the block stage's widest stack, so that
+# ``scratch`` serves both.  Each chunk makes k2 + 1 GEMM calls, so a call
+# makes at most k2 + 1 per group plus (k2 + 1) * _K_CHUNKS, however many
+# documents there are.
+_K_CHUNKS = 16
 
 
 def _k_factors(k: int) -> tuple[int, int]:
@@ -295,29 +310,27 @@ def _k_factors(k: int) -> tuple[int, int]:
     return (k1, k // k1) if k1 >= _MIN_FACTOR else (1, k)
 
 
-def _two_pass_k_stage(
-    m1: np.ndarray,
-    x: np.ndarray,
-    stack: np.ndarray,
-    twiddle: np.ndarray,
-    live: int,
-    k1: int,
-    scratch: np.ndarray,
-) -> None:
-    """k-point DFT and grid twiddle of one stack of documents, in two GEMM passes.
+def _k_stage_cmuls(rows: int, k: int, k1: int) -> int:
+    """Complex multiplications of the two-pass k-point stage per grid column reading ``rows`` rows."""
+    return k1 * rows + k * (k // k1)
 
-    ``x`` is the stack's (k, columns * D) slice of the loaded grid, and
-    ``stack`` its (columns, D, k) memory in ``work``, which receives each
-    cell's frequencies f = f1 + k1 * f2 in (f1, f2) order; ``twiddle`` is
-    the group's table in that order.  With input row a = n1 * k2 + n2,
-    w_k^(f a) = w_k^(f1 (n1 k2 + n2)) * w_k2^(f2 n2).  The first pass runs,
-    per n2, the k1-point DFT over n1 with the inner twiddle w_k^(f1 n2)
-    folded in, into ``scratch``; the second runs the k2-point DFT over n2
-    as one GEMM.  Both matrices are strided views of M1.  The first pass
-    reads only rows a < ``live``: the last n1 block, which holds rows past
-    them, is read only for n2 < ``rem``.
+
+def _two_pass_k_stage(
+    m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: int, scratch: np.ndarray
+) -> None:
+    """k-point DFT of a chunk of grid columns, in two GEMM passes.
+
+    ``x`` is the chunk's (k, columns * D) slice of the loaded grid, and
+    ``cells`` its (columns, D, k) memory in ``work``, which receives each
+    cell's frequencies f = f1 + k1 * f2 in (f1, f2) order.  With input row
+    a = n1 * k2 + n2, w_k^(f a) = w_k^(f1 (n1 k2 + n2)) * w_k2^(f2 n2).
+    The first pass runs, per n2, the k1-point DFT over n1 with the inner
+    twiddle w_k^(f1 n2) folded in, into ``scratch``; the second runs the
+    k2-point DFT over n2 as one GEMM.  Both matrices are strided views of
+    M1.  The first pass reads only rows a < ``live``: the last n1 block,
+    which holds rows past them, is read only for n2 < ``rem``.
     """
-    k = stack.shape[-1]
+    k = cells.shape[-1]
     k2, n = k // k1, x.shape[1]
     n1 = -(-live // k2)  # n1 blocks holding live rows
     rem = live - (n1 - 1) * k2  # live rows of the last one
@@ -325,12 +338,13 @@ def _two_pass_k_stage(
     y = scratch[: k * n].reshape(k2, n, k1)  # [n2, r, f1]
     for n2 in range(k2):
         blocks = n1 if n2 < rem else n1 - 1
-        # [n1, f1] = w_k^((n1 k2 + n2) f1)
-        gemm(x[:blocks, n2].T, m1[n2 : blocks * k2 : k2, :k1], out=y[n2])
+        if blocks:
+            # [n1, f1] = w_k^((n1 k2 + n2) f1)
+            gemm(x[:blocks, n2].T, m1[n2 : blocks * k2 : k2, :k1], out=y[n2])
+        else:
+            y[n2] = 0
     # [n2, f2] = w_k^(n2 k1 f2) = w_k2^(n2 f2)
-    gemm(y.reshape(k2, n * k1).T, m1[::k1, :k2], out=stack.reshape(n * k1, k2))
-    cells = stack.reshape(-1, twiddle.shape[0], stack.shape[1], k)
-    cells *= twiddle[:, None, :]
+    gemm(y.reshape(k2, n * k1).T, m1[::k1, :k2], out=cells.reshape(n * k1, k2))
 
 
 def forward(plan: RubiConvPlan, x: np.ndarray) -> np.ndarray:

@@ -321,3 +321,13 @@ def test_main_exits_2_on_a_file_it_cannot_read_or_write(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not missing.parent.exists()
+
+
+def test_main_leaves_other_io_errors_of_the_run_as_they_are(monkeypatch):
+    # Only --doclens and --out are flags; an I/O error inside the run is not.
+    def fail(cfg, sweep=None):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(bench, "run_bench", fail)
+    with pytest.raises(OSError, match="disk went away"):
+        bench.main(["--count-only"])

@@ -438,6 +438,36 @@ def test_pruned_calls_factor_k_by_its_largest_divisor_up_to_its_root():
         assert _k_factors(k) == factored.get(k, (1, k)), k
 
 
+def test_two_pass_stage_takes_many_columns_per_chunk_and_only_where_it_saves(monkeypatch):
+    # Hundreds of short documents at k = 256 = 16 * 16.  The two-pass stage
+    # takes each group's columns in at most _K_CHUNKS chunks plus one, so
+    # its GEMM calls do not grow with the document count.  A group whose
+    # live rows r are so few that k1 * r + k * k2 >= k * r keeps one GEMM.
+    rng = np.random.default_rng(23)
+    lengths = [10] * 40 + rng.integers(300, 500, size=300).tolist() + [700]
+    k, k1, k2, channels = 256, 16, 16, 2
+    plan = build_plan(lengths, filter_len=8, k=k)
+    few_rows, many_rows, widest = plan.groups
+    assert (few_rows.width, few_rows.live_rows) == (1, 10) and many_rows.live_rows > 2 * k2
+    calls = []
+    gemm = rubiconv.transform.gemm
+
+    def recording(a, b, *args, **kwargs):
+        if np.shares_memory(b, plan.m1):
+            calls.append(np.shape(b))
+        return gemm(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(rubiconv.transform, "gemm", recording)
+    grid = rng.standard_normal((k, plan.layout.total_cols, channels)) + 0j
+    for col, (group, _) in enumerate(_group_local_cols(plan)):
+        grid[group.live_rows :, col] = 0
+    got = transform_grid(plan, grid, skip_zero_rows=True)
+    assert calls[0] == (10, k) and all(shape[0] <= k2 for shape in calls[1:])
+    assert len(calls) - 1 <= (k2 + 1) * (rubiconv.transform._K_CHUNKS + 2)
+    monkeypatch.undo()
+    assert rel_err(got, transform_grid(plan, grid)) <= 1e-12
+
+
 def test_fused_matches_unfused_reference_path():
     rng = np.random.default_rng(13)
     for _ in range(10):
