@@ -112,9 +112,10 @@ def stage_triples(layout: CtLayout) -> Iterator[tuple[int, np.ndarray, np.ndarra
 def bit_reverse_permute(y: np.ndarray, layout: CtLayout) -> np.ndarray:
     """Reorder each document span into bit-reversed order; spans never mix."""
     y = np.asarray(y)
-    if y.shape[0] != layout.total_padded:
+    positions = y.shape[0] if y.ndim else 0  # a layout has at least one
+    if positions != layout.total_padded:
         raise ValueError(
-            f"packed vector has {y.shape[0]} positions, layout expects "
+            f"packed vector has {positions} positions, layout expects "
             f"{layout.total_padded}"
         )
     return y[_bit_reverse_indices(layout)]

@@ -22,8 +22,11 @@ GEMM_MODES = ("standard", "karatsuba")
 
 def _whole(value, what: str) -> int:
     """``value`` as an int, refusing any value that ``int`` would truncate."""
-    whole = int(value)
-    if whole != value:
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        whole = None
+    if whole is None or whole != value:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return whole
 

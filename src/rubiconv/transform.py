@@ -15,15 +15,16 @@ GEMM writes that layout directly: M1 is symmetric, so grid^T @ M1 is the
 transposed product.  The twiddle is applied in place.  The grid's column
 blocks are sorted by width (see ``packing``), so all documents of width
 m_i form one contiguous (n_i, m_i, D*k) slab, and their m_i-point DFTs run
-as stacked GEMMs on views of it, with no copy in.  Each GEMM stacks at
-most m_max // m_i documents, m_max being the widest document's width, so
-no temporary is larger than one block of the widest document, or than
-1/16 of the grid in a two-pass k-point stage (see below).  Each
-stack's result is written back, with the channels last, into the memory
-its documents held, and that array, read as (m_total, k, D), is what
-``transform_grid`` returns.  In this cell-major spectrum, frequency
-f = b * k + a of document i sits in cell (col_offsets[i] + b, a), so each
-document's spectrum is one contiguous run in natural frequency order.
+as stacked GEMMs on views of it, with no copy in.  Each group runs all
+three stages per chunk of whole documents, of at most
+max(m_max, ceil(m_total / 16)) columns, m_max being the widest document's
+width, so the GEMM calls do not grow with the number of documents and no
+temporary is larger than one chunk.  Each chunk's block-stage result is
+written back, with the channels last, into the memory its documents held,
+and that array, read as (m_total, k, D), is what ``transform_grid``
+returns.  In this cell-major spectrum, frequency f = b * k + a of
+document i sits in cell (col_offsets[i] + b, a), so each document's
+spectrum is one contiguous run in natural frequency order.
 The dual-real split, the product, the channel pairing and the index maps
 all read it as it is.  Twiddles and DFT matrices depend only on a
 document's width m_i, so the plan builds one of each per distinct width
@@ -69,9 +70,8 @@ sqrt(k), is at least 16 (k = 256 = 16 * 16 and 512 = 16 * 32 factor,
 k = 64 does not).  With input row a = n1 * k2 + n2, a k1-point GEMM per
 n2, with the inner twiddle folded in, runs over the n1 blocks that hold
 the rows read, then one k2-point GEMM completes the stage; both matrices
-are strided views of M1.  The passes take each width group's columns in
-chunks of at least 1/16 of the grid, so their GEMM calls do not grow with
-the number of documents.  A grid column whose first r rows are read costs
+are strided views of M1, and the passes run per chunk like the other
+stages.  A grid column whose first r rows are read costs
 k1 * r + k * k2 multiplications in two passes and k * r in one, and each
 group takes the cheaper: K(r) = min(k * r, k1 * r + k * k2), and
 K(r) = k * r where k does not factor.  (At k = 256, two passes pay from
@@ -241,48 +241,42 @@ def transform_grid(
     rows = grid.reshape(k, m_total * width)
     cells = rows.T
 
-    # Width groups are contiguous, and each runs its three stages in turn.
+    # Width groups are contiguous, and each walks its columns in chunks of
+    # whole documents (see ``_CHUNKS``), running the three stages per chunk.
     # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major;
     # pruned, a group contracts over its live rows only.  Where that costs
-    # fewer multiplications, the k-point stage runs as two GEMM passes per
-    # chunk of the group's columns, and leaves each cell's frequencies
-    # f = f1 + k1 * f2 in (f1, f2) order; one GEMM is f1 = 1, where the two
-    # orders agree.  The twiddle is applied in place through a strided view
-    # of the table in that order.  The block stage runs as capped stacks
-    # (see the module notes), each GEMM writing into ``scratch``.  The
-    # result goes back, in natural order, into the memory the stack's
-    # documents held in ``work``, with channels last, so that a cell's
-    # channels are contiguous for the stages that follow.
-    k1, k2 = _k_factors(k) if skip_zero_rows or skip_unread_cols else (1, k)
+    # fewer multiplications, the k-point stage runs as two GEMM passes and
+    # leaves each cell's frequencies f = f1 + k1 * f2 in (f1, f2) order;
+    # one GEMM is f1 = 1, where the two orders agree.  The twiddle is
+    # applied in place through a strided view of the table in that order.
+    # The chunk's block-stage GEMM writes into ``scratch``, and its result
+    # goes back, in natural order, into the memory the chunk held in
+    # ``work``, with channels last, so that a cell's channels are
+    # contiguous for the stages that follow.
+    k1 = _k_factors(k)[0] if skip_zero_rows or skip_unread_cols else 1
     work = np.empty((m_total, width, k), dtype=np.complex128)
     counting.add_complex_muls(work.size, real_muls_each=4)  # the twiddles
-    m_max = plan.groups[-1].width
-    chunk = max(m_max, -(-m_total // _K_CHUNKS)) if k1 > 1 else m_max
+    chunk = max(plan.groups[-1].width, -(-m_total // _CHUNKS))
     scratch = np.empty(chunk * width * k, dtype=np.complex128)
     for group, twiddle, dft in zip(plan.groups, plan.twiddles, plan.m2):
-        m_i, cols, step = group.width, group.cols, m_max // group.width
+        m_i, cols = group.width, group.cols
         live = group.live_rows if skip_zero_rows else k
         f1 = k1 if _k_stage_cmuls(live, k, k1) < k * live else 1
-        if f1 == 1:
-            m1 = plan.m1[:live] if skip_zero_rows else plan.m1
-            group_cells = cells[cols.start * width : cols.stop * width, :live]
-            gemm(group_cells, m1, out=work[cols].reshape(-1, k))
-        else:
-            for lo in range(cols.start, cols.stop, chunk):
-                hi = min(lo + chunk, cols.stop)
-                x = rows[:, lo * width : hi * width]
-                _two_pass_k_stage(plan.m1, x, work[lo:hi], live, k1, scratch)
         f2 = k // f1
-        docs = work[cols].reshape(-1, m_i, width, f1, f2)
-        docs *= twiddle.reshape(m_i, f2, f1).transpose(0, 2, 1)[:, None]
+        table = twiddle.reshape(m_i, f2, f1).transpose(0, 2, 1)[:, None]
         keep = group.live_cols if skip_unread_cols else m_i
-        m2 = dft[:keep]
-        for lo in range(cols.start, cols.stop, step * m_i):
-            hi = min(lo + step * m_i, cols.stop)
-            stack = work[lo:hi]
-            n_docs = (hi - lo) // m_i
+        step = chunk // m_i * m_i
+        for lo in range(cols.start, cols.stop, step):
+            hi = min(lo + step, cols.stop)
+            stack, n_docs, span = work[lo:hi], (hi - lo) // m_i, slice(lo * width, hi * width)
+            if f1 == 1:
+                gemm(cells[span, :live], plan.m1[:live], out=stack.reshape(-1, k))
+            else:
+                _two_pass_k_stage(plan.m1, rows[:, span], stack, live, k1, scratch)
+            docs = stack.reshape(n_docs, m_i, width, f1, f2)
+            docs *= table
             out = scratch[: n_docs * keep * width * k].reshape(n_docs, keep, width * k)
-            gemm(m2, stack.reshape(n_docs, m_i, width * k), out=out)
+            gemm(dft[:keep], stack.reshape(n_docs, m_i, width * k), out=out)
             blocks = stack.reshape(n_docs, m_i, f2, f1, width)
             blocks[:, :keep] = out.reshape(n_docs, keep, width, f1, f2).transpose(0, 1, 4, 3, 2)
             blocks[:, keep:] = 0
@@ -296,12 +290,14 @@ def transform_grid(
 # contract over at most 8 rows.
 _MIN_FACTOR = 16
 
-# The two-pass stage runs over chunks of at least 1/_K_CHUNKS of the grid's
-# columns, and of at least m_max, the block stage's widest stack, so that
-# ``scratch`` serves both.  Each chunk makes k2 + 1 GEMM calls, so a call
-# makes at most k2 + 1 per group plus (k2 + 1) * _K_CHUNKS, however many
-# documents there are.
-_K_CHUNKS = 16
+# ``transform_grid`` takes each width group's columns in chunks of whole
+# documents, of at most max(m_max, ceil(m_total / _CHUNKS)) columns, m_max
+# being the widest document's width, so ``scratch`` holds one chunk of
+# either stage.  All but a group's last chunk hold more than half that
+# many columns, and a chunk makes at most k2 + 2 GEMM calls (two where the
+# k-point stage is one GEMM), so a call makes at most
+# (k2 + 2) * (2 * _CHUNKS + groups) however many documents there are.
+_CHUNKS = 16
 
 
 def _k_factors(k: int) -> tuple[int, int]:
@@ -355,9 +351,10 @@ def forward(plan: RubiConvPlan, x: np.ndarray) -> np.ndarray:
     trailing axes of ``x`` are processed as independent channels.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != plan.layout.total_padded:
+    positions = x.shape[0] if x.ndim else 0  # a layout has at least one
+    if positions != plan.layout.total_padded:
         raise ValueError(
-            f"packed vector has {x.shape[0]} positions, plan expects "
+            f"packed vector has {positions} positions, plan expects "
             f"{plan.layout.total_padded}"
         )
     return plan.p2.apply(transform_grid(plan, plan.p1.apply(x)))

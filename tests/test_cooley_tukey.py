@@ -93,6 +93,8 @@ def test_bit_reversal_length_mismatch():
     layout = build_ct_layout([4], filter_len=1)
     with pytest.raises(ValueError):
         bit_reverse_permute(np.zeros(5), layout)
+    with pytest.raises(ValueError, match="packed vector has 0 positions"):
+        masked_fft(1.0, layout)
 
 
 def test_bit_reversal_rejects_non_power_of_two_span():

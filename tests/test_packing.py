@@ -63,6 +63,8 @@ def test_sizes_with_a_fraction_are_rejected_and_whole_ones_accepted():
         lambda: build_operator([2.5, 1], np.ones(2)),
         lambda: oracle_convolve([2.5, 1], np.ones(3), np.ones(2)),
         lambda: dft_matrix(2.5),
+        lambda: build_plan([float("inf")], 2),
+        lambda: build_plan([float("nan")], 2),
     )
     for call in fractional:
         with pytest.raises(ValueError, match="must be a whole number"):

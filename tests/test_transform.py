@@ -147,6 +147,9 @@ def test_forward_length_mismatch():
     plan = build_plan([5], filter_len=2, k=2)
     with pytest.raises(ValueError):
         forward(plan, np.zeros(3, dtype=complex))
+    for call in (lambda: forward(plan, np.complex128(1)), lambda: inverse(plan, 1.0)):
+        with pytest.raises(ValueError, match="packed vector has 0 positions"):
+            call()
     with pytest.raises(ValueError):
         transform_grid(plan, np.zeros((plan.k, plan.layout.total_cols + 1), dtype=complex))
 
@@ -365,33 +368,42 @@ def test_fused_convolve_peak_memory_is_at_most_2_6_grids(lengths, filter_len, k)
     assert peak <= 2.6 * plan.layout.total_padded * channels * 16
 
 
-def test_block_stage_runs_capped_stacks_per_width(monkeypatch):
-    # About 1000 short documents in a few widths: the block stage stacks
-    # equal-width documents, at most m_max // m of width m per GEMM, so it
-    # makes neither one call per document nor a temporary wider than the
-    # widest document's block.
+def _recorded_gemm_calls(monkeypatch, plan):
+    """Record (k-point stage?, right operand's shape) of every GEMM ``transform_grid`` makes."""
+    calls = []
+    gemm = rubiconv.transform.gemm
+
+    def recording(a, b, *args, **kwargs):
+        calls.append((np.shares_memory(b, plan.m1), np.shape(b)))
+        return gemm(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(rubiconv.transform, "gemm", recording)
+    return calls
+
+
+def _check_chunk_bounds(plan, calls, k2):
+    # The call bound and chunk width of ``rubiconv.transform._CHUNKS``'s notes.
+    chunks = rubiconv.transform._CHUNKS
+    chunk = max(plan.groups[-1].width, -(-plan.layout.total_cols // chunks))
+    assert len(calls) <= (k2 + 2) * (2 * chunks + len(plan.groups))
+    blocks = [b for k_stage, b in calls if not k_stage]
+    assert max(math.prod(b[:-1]) for b in blocks) <= chunk
+
+
+def test_block_stage_stacks_whole_documents_per_chunk(monkeypatch):
+    # About 1000 short documents in a few widths: each width group runs in
+    # chunks of whole documents, so the transform makes neither one GEMM
+    # call per document nor a block-stage temporary wider than one chunk.
     rng = np.random.default_rng(16)
     lengths = rng.geometric(1 / 32, size=1000).tolist()
     k, channels = 64, 2
     plan = build_plan(lengths, filter_len=64, k=k)
-    operands = []
-    gemm = rubiconv.transform.gemm
-
-    def recording(a, b, *args, **kwargs):
-        if b is not plan.m1:
-            operands.append(np.shape(b))
-        return gemm(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(rubiconv.transform, "gemm", recording)
+    widths, counts = np.unique(plan.layout.cols_per_doc, return_counts=True)
+    assert len(widths) > 2 and counts[0] > widths[-1]
+    calls = _recorded_gemm_calls(monkeypatch, plan)
     shape = (k, plan.layout.total_cols, channels)
     transform_grid(plan, rng.standard_normal(shape) + 0j)
-
-    widths, counts = np.unique(plan.layout.cols_per_doc, return_counts=True)
-    m_max = int(widths[-1])
-    assert len(widths) > 2 and counts[0] > m_max
-    expected_calls = sum(-(-n // max(1, m_max // w)) for w, n in zip(widths, counts))
-    assert len(operands) == expected_calls
-    assert max(math.prod(s) for s in operands) <= m_max * channels * k
+    _check_chunk_bounds(plan, calls, k2=1)
 
 
 def _group_local_cols(plan):
@@ -440,32 +452,42 @@ def test_pruned_calls_factor_k_by_its_largest_divisor_up_to_its_root():
 
 def test_two_pass_stage_takes_many_columns_per_chunk_and_only_where_it_saves(monkeypatch):
     # Hundreds of short documents at k = 256 = 16 * 16.  The two-pass stage
-    # takes each group's columns in at most _K_CHUNKS chunks plus one, so
-    # its GEMM calls do not grow with the document count.  A group whose
-    # live rows r are so few that k1 * r + k * k2 >= k * r keeps one GEMM.
+    # runs per chunk of at least 1/_CHUNKS of the grid, so its GEMM calls do
+    # not grow with the document count.  A group whose live rows r are so
+    # few that k1 * r + k * k2 >= k * r keeps one GEMM.
     rng = np.random.default_rng(23)
     lengths = [10] * 40 + rng.integers(300, 500, size=300).tolist() + [700]
     k, k1, k2, channels = 256, 16, 16, 2
     plan = build_plan(lengths, filter_len=8, k=k)
     few_rows, many_rows, widest = plan.groups
     assert (few_rows.width, few_rows.live_rows) == (1, 10) and many_rows.live_rows > 2 * k2
-    calls = []
-    gemm = rubiconv.transform.gemm
-
-    def recording(a, b, *args, **kwargs):
-        if np.shares_memory(b, plan.m1):
-            calls.append(np.shape(b))
-        return gemm(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(rubiconv.transform, "gemm", recording)
+    calls = _recorded_gemm_calls(monkeypatch, plan)
     grid = rng.standard_normal((k, plan.layout.total_cols, channels)) + 0j
     for col, (group, _) in enumerate(_group_local_cols(plan)):
         grid[group.live_rows :, col] = 0
     got = transform_grid(plan, grid, skip_zero_rows=True)
-    assert calls[0] == (10, k) and all(shape[0] <= k2 for shape in calls[1:])
-    assert len(calls) - 1 <= (k2 + 1) * (rubiconv.transform._K_CHUNKS + 2)
+    k_stage = [b for is_k_stage, b in calls if is_k_stage]
+    assert k_stage[0] == (10, k) and all(shape[0] <= k2 for shape in k_stage[1:])
+    _check_chunk_bounds(plan, calls, k2)
     monkeypatch.undo()
     assert rel_err(got, transform_grid(plan, grid)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 4, 64, 256, 512])
+def test_chunk_size_never_changes_the_transform(monkeypatch, k):
+    # _CHUNKS = 1 runs each width group as one chunk, and a huge _CHUNKS
+    # runs chunks of m_max columns, a document of width m_max each.
+    rng = np.random.default_rng(29)
+    lengths = rng.geometric(1 / 40, size=300).tolist() + [3000]
+    plan = build_plan(lengths, filter_len=8, k=k)
+    shape = (k, plan.layout.total_cols, 2)
+    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flags = ({}, {"skip_zero_rows": True}, {"skip_unread_cols": True})
+    expected = [transform_grid(plan, grid, **f) for f in flags]
+    for chunks in (1, 10**9):
+        monkeypatch.setattr(rubiconv.transform, "_CHUNKS", chunks)
+        for f, want in zip(flags, expected):
+            assert rel_err(transform_grid(plan, grid, **f), want) <= 1e-14, (chunks, f)
 
 
 def test_fused_matches_unfused_reference_path():
