@@ -71,15 +71,25 @@ k = 64 does not).  With input row a = n1 * k2 + n2, a k1-point GEMM per
 n2, with the inner twiddle folded in, runs over the n1 blocks that hold
 the rows read, then one k2-point GEMM completes the stage; both matrices
 are strided views of M1, and the passes run per chunk like the other
-stages.  A grid column whose first r rows are read costs
-k1 * r + k * k2 multiplications in two passes and k * r in one, and each
-group takes the cheaper: K(r) = min(k * r, k1 * r + k * k2), and
-K(r) = k * r where k does not factor.  (At k = 256, two passes pay from
-r = 18 rows on.)  A convolution over D channels counts
+stages.  They factor each width group's block stage the same way, where
+m = p * q and p, the largest divisor of m not above sqrt(m), is at least
+8 (m = 64 = 8 * 8 and 128 = 8 * 16 factor, m = 60 does not).  With input
+column n = n1 * q + n2 and output column b = b1 + p * b2, a p-point GEMM
+per n2, with the inner twiddle folded in, runs over n1, then per b1 one
+q-point GEMM computes the rows b2 < ceil(keep / p) that cover the kept
+columns; both matrices are strided views of the group's DFT matrix.
+An n-point stage that reads a vector's first r inputs and keeps its first
+c outputs costs r * c multiplications in one GEMM and
+n1 * r + n * ceil(c / n1) in two passes, n = n1 * n2, and each group
+takes the cheaper, so the k-point stage costs K(r) = min(k * r,
+k1 * r + k * k2) per grid column and the block stage
+B(m, c) = min(m * c, m * (p + ceil(c / p))) per document, grid row and
+channel; an unfactored k or m keeps the one-GEMM cost.  (At k = 256, two
+passes pay from r = 18 rows on.)  A convolution over D channels counts
 (``convolve_cmuls``)
 
-    D * (sum_w c_w K(r_w) + k m_total + k * sum_i m_i^2)
-      + ceil(D/2) * (m_total K(k) + k m_total + k * sum_i m_i b_w(i))
+    D * (sum_w c_w K(r_w) + k m_total + k * sum_i B(m_i, m_i))
+      + ceil(D/2) * (m_total K(k) + k m_total + k * sum_i B(m_i, b_w(i)))
       + 2 k m_total D
 
 complex multiplications: the pruned forward, the paired, pruned inverse,
@@ -183,17 +193,13 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
 
 def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     """Complex multiplications one fused ``convolve`` call counts (see the module notes)."""
-    k, m_total, groups = layout.k, layout.total_cols, width_groups(layout)
+    k, m_total = layout.k, layout.total_cols
     k1 = _k_factors(k)[0]
-
-    def k_stage(rows: int) -> int:  # per grid column reading ``rows`` rows
-        return min(k * rows, _k_stage_cmuls(rows, k, k1))
-
-    blocks = k * sum(g.n_docs * g.width * g.width for g in groups)
-    live_blocks = k * sum(g.n_docs * g.width * g.live_cols for g in groups)
-    forward = sum(g.n_docs * g.width * k_stage(g.live_rows) for g in groups)
-    forward += k * m_total + blocks
-    inverse = m_total * k_stage(k) + k * m_total + live_blocks
+    forward = inverse = k * m_total  # the twiddles
+    for g in width_groups(layout):
+        m, cols, p = g.width, g.width * g.n_docs, _m_factors(g.width)[0]
+        forward += cols * _dft_cmuls(k, k1, g.live_rows, k) + g.n_docs * k * _dft_cmuls(m, p, m, m)
+        inverse += cols * _dft_cmuls(k, k1, k, k) + g.n_docs * k * _dft_cmuls(m, p, m, g.live_cols)
     return channels * forward + (channels + 1) // 2 * inverse + 2 * k * m_total * channels
 
 
@@ -229,8 +235,10 @@ def transform_grid(
     ``skip_unread_cols`` says that only outputs at times t < L_i are read:
     the block stage then computes only the group's ``live_cols`` output
     columns and writes zeros into the rest.  Without them the transform is
-    the full padded-length DFT.  With either, the k-point stage runs as two
-    GEMM passes where ``_k_factors`` splits k.
+    the full padded-length DFT.  With either, the k-point stage and each
+    group's block stage run as two GEMM passes where ``_k_factors`` and
+    ``_m_factors`` split k and the group's width, and that counts fewer
+    multiplications (``_dft_cmuls``).
     """
     grid = np.asarray(grid, dtype=np.complex128)
     layout = plan.layout
@@ -249,11 +257,13 @@ def transform_grid(
     # leaves each cell's frequencies f = f1 + k1 * f2 in (f1, f2) order;
     # one GEMM is f1 = 1, where the two orders agree.  The twiddle is
     # applied in place through a strided view of the table in that order.
-    # The chunk's block-stage GEMM writes into ``scratch``, and its result
-    # goes back, in natural order, into the memory the chunk held in
-    # ``work``, with channels last, so that a cell's channels are
-    # contiguous for the stages that follow.
-    k1 = _k_factors(k)[0] if skip_zero_rows or skip_unread_cols else 1
+    # The block stage, in one GEMM or, pruned and where that costs fewer
+    # multiplications, in two passes, writes into ``scratch`` (and
+    # ``part``), and its result goes back, in natural order, into the
+    # memory the chunk held in ``work``, with channels last, so that a
+    # cell's channels are contiguous for the stages that follow.
+    pruned = skip_zero_rows or skip_unread_cols
+    k1 = _k_factors(k)[0] if pruned else 1
     work = np.empty((m_total, width, k), dtype=np.complex128)
     counting.add_complex_muls(work.size, real_muls_each=4)  # the twiddles
     chunk = max(plan.groups[-1].width, -(-m_total // _CHUNKS))
@@ -261,11 +271,14 @@ def transform_grid(
     for group, twiddle, dft in zip(plan.groups, plan.twiddles, plan.m2):
         m_i, cols = group.width, group.cols
         live = group.live_rows if skip_zero_rows else k
-        f1 = k1 if _k_stage_cmuls(live, k, k1) < k * live else 1
+        f1 = k1 if _dft_cmuls(k, k1, live, k) < k * live else 1
         f2 = k // f1
         table = twiddle.reshape(m_i, f2, f1).transpose(0, 2, 1)[:, None]
         keep = group.live_cols if skip_unread_cols else m_i
+        p = _m_factors(m_i)[0] if pruned else 1
+        p = p if _dft_cmuls(m_i, p, m_i, keep) < m_i * keep else 1
         step = chunk // m_i * m_i
+        part = np.empty(step // p * width * k, dtype=np.complex128) if p > 1 else scratch
         for lo in range(cols.start, cols.stop, step):
             hi = min(lo + step, cols.stop)
             stack, n_docs, span = work[lo:hi], (hi - lo) // m_i, slice(lo * width, hi * width)
@@ -275,40 +288,60 @@ def transform_grid(
                 _two_pass_k_stage(plan.m1, rows[:, span], stack, live, k1, scratch)
             docs = stack.reshape(n_docs, m_i, width, f1, f2)
             docs *= table
-            out = scratch[: n_docs * keep * width * k].reshape(n_docs, keep, width * k)
-            gemm(dft[:keep], stack.reshape(n_docs, m_i, width * k), out=out)
-            blocks = stack.reshape(n_docs, m_i, f2, f1, width)
-            blocks[:, :keep] = out.reshape(n_docs, keep, width, f1, f2).transpose(0, 1, 4, 3, 2)
-            blocks[:, keep:] = 0
+            _block_stage(dft, docs, keep, p, scratch, part)
     return work.reshape((m_total, k) + grid.shape[2:])
 
 
-# convolve's pruned transforms run the k-point stage as two GEMM passes when
-# k = k1 * k2 and k1, the largest divisor of k not above sqrt(k), is at
-# least this.  Smaller factors lose: the short-docs workload at
-# k = 64 = 8 * 8 ran about 1.15x slower in two passes, whose GEMMs then
-# contract over at most 8 rows.
+# convolve's pruned transforms run an n-point DFT stage as two GEMM passes
+# when n = n1 * n2 and n1, the largest divisor of n not above sqrt(n), is
+# at least this: _MIN_FACTOR for the k-point stage, _MIN_BLOCK_FACTOR for a
+# width group's m-point block stage.  Smaller factors lose: the short-docs
+# workload at k = 64 = 8 * 8 ran about 1.15x slower with its k-point stage
+# in two passes, whose GEMMs then contract over at most 8 rows, while the
+# block stage, whose GEMMs are D * k columns wide, ran no slower at
+# m = 64 = 8 * 8 and faster at m = 128 = 8 * 16.
 _MIN_FACTOR = 16
+_MIN_BLOCK_FACTOR = 8
 
 # ``transform_grid`` takes each width group's columns in chunks of whole
 # documents, of at most max(m_max, ceil(m_total / _CHUNKS)) columns, m_max
 # being the widest document's width, so ``scratch`` holds one chunk of
 # either stage.  All but a group's last chunk hold more than half that
-# many columns, and a chunk makes at most k2 + 2 GEMM calls (two where the
-# k-point stage is one GEMM), so a call makes at most
-# (k2 + 2) * (2 * _CHUNKS + groups) however many documents there are.
+# many columns.  A chunk makes at most k2 + 1 GEMM calls in the k-point
+# stage (one where it is one GEMM) and p + q in the block stage of a width
+# m = p * q (one where it is one GEMM), so a call makes at most
+# (k2 + 1 + s) * (2 * _CHUNKS + groups), s being the largest such p + q
+# over the groups, however many documents there are.
 _CHUNKS = 16
+
+
+def _factors(n: int, least: int) -> tuple[int, int]:
+    """(n1, n2) of a two-pass n-point DFT, or (1, n) where n1 would be below ``least``."""
+    n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return (n1, n // n1) if n1 >= least else (1, n)
 
 
 def _k_factors(k: int) -> tuple[int, int]:
     """(k1, k2) of the pruned two-pass k-point stage, or (1, k) for one GEMM."""
-    k1 = max(d for d in range(1, math.isqrt(k) + 1) if k % d == 0)
-    return (k1, k // k1) if k1 >= _MIN_FACTOR else (1, k)
+    return _factors(k, _MIN_FACTOR)
 
 
-def _k_stage_cmuls(rows: int, k: int, k1: int) -> int:
-    """Complex multiplications of the two-pass k-point stage per grid column reading ``rows`` rows."""
-    return k1 * rows + k * (k // k1)
+def _m_factors(m: int) -> tuple[int, int]:
+    """(p, q) of the pruned two-pass block stage of width m, or (1, m) for one GEMM."""
+    return _factors(m, _MIN_BLOCK_FACTOR)
+
+
+def _dft_cmuls(n: int, n1: int, rows: int, keep: int) -> int:
+    """Complex multiplications of an n-point DFT stage per vector, the cheaper way.
+
+    The vector's first ``rows`` inputs are read and its first ``keep``
+    outputs kept.  One GEMM costs rows * keep.  Two passes, n = n1 * n2,
+    cost n1 * rows in the first (n1 outputs per input read) and
+    n * ceil(keep / n1) in the second (n2 inputs each for the
+    n1 * ceil(keep / n1) outputs that cover the kept ones); at n1 = 1 that
+    is always more than one GEMM.
+    """
+    return min(rows * keep, n1 * rows + n * -(-keep // n1))
 
 
 def _two_pass_k_stage(
@@ -341,6 +374,40 @@ def _two_pass_k_stage(
             y[n2] = 0
     # [n2, f2] = w_k^(n2 k1 f2) = w_k2^(n2 f2)
     gemm(y.reshape(k2, n * k1).T, m1[::k1, :k2], out=cells.reshape(n * k1, k2))
+
+
+def _block_stage(
+    dft: np.ndarray, docs: np.ndarray, keep: int, p: int, scratch: np.ndarray, part: np.ndarray
+) -> None:
+    """m-point DFTs of a chunk's documents, written back in natural order.
+
+    ``docs`` is the chunk's (n_docs, m, D, f1, f2) memory in ``work``, which
+    receives, per document, output columns b < ``keep`` as (m, f2, f1, D)
+    and zeros past them.  With p = 1 one GEMM computes the kept columns
+    into ``scratch``.  With m = p * q, input column n = n1 * q + n2 and
+    output column b = b1 + p * b2, w_m^(b n) = w_m^(b1 (n1 q + n2)) *
+    w_q^(b2 n2).  The first pass runs, per n2, the p-point DFT over n1 with
+    the inner twiddle w_m^(b1 n2) folded in, into ``scratch``; the second
+    runs, per b1, the q-point DFT over n2 for b2 < ceil(keep / p) into
+    ``part``, one chunk's width over p.  Both matrices are strided views
+    of the group's DFT matrix, and one GEMM is the second pass at p = 1.
+    """
+    n_docs, m, width, f1, f2 = docs.shape
+    q, b2s, cols = m // p, -(-keep // p), width * f1 * f2
+    x = docs.reshape(n_docs, m, 1, cols)  # [doc, n2, b1, column]
+    if p > 1:
+        y = scratch[: docs.size].reshape(q, n_docs, p, cols)  # [n2, doc, b1, column]
+        for n2 in range(q):
+            # [b1, n1] = w_m^(b1 (n1 q + n2))
+            gemm(dft[:p, n2::q], docs.reshape(n_docs, p, q, cols)[:, :, n2], out=y[n2])
+        x, scratch = y.transpose(1, 0, 2, 3), part
+    out = scratch[: n_docs * b2s * cols].reshape(n_docs, b2s, cols)
+    blocks = docs.reshape(n_docs, m, f2, f1, width)
+    for b1 in range(p):
+        # [b2, n2] = w_m^(p b2 n2) = w_q^(b2 n2)
+        gemm(dft[: b2s * p : p, :q], x[:, :, b1], out=out)
+        blocks[:, b1 : b2s * p : p] = out.reshape(n_docs, b2s, width, f1, f2).transpose(0, 1, 4, 3, 2)
+    blocks[:, keep:] = 0
 
 
 def forward(plan: RubiConvPlan, x: np.ndarray) -> np.ndarray:

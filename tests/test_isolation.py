@@ -33,10 +33,12 @@ def _variants(lengths, filter_len, k):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_value_stays_in_its_document(bad):
-    # At k = 256 = 16 * 16 convolve runs its k-point stage as two GEMM passes.
+    # At k = 256 = 16 * 16 convolve runs its k-point stage as two GEMM
+    # passes, and at k = 4 widths 64 = 8 * 8 and 128 = 8 * 16 run the block
+    # stage in two.
     rng = np.random.default_rng(20)
     cases = (([5, 9, 3], 4, 4), ([1, 16, 2, 33, 7], 3, 4), ([64, 1, 64], 2, 4))
-    for lengths, channels, k in cases + (([5, 300, 1, 700], 3, 256),):
+    for lengths, channels, k in cases + (([5, 300, 1, 700], 3, 256), ([253, 3, 509], 2, 4)):
         bank = FilterBank(rng.standard_normal((4, channels)))
         docs = random_documents(rng, lengths, channels)
         for name, (layout, run) in _variants(lengths, 4, k).items():

@@ -5,6 +5,8 @@ order (so the width-sorted grid really permutes column blocks), length-1
 documents, filters longer than every document, k = 1 and k larger than
 every document (k = 256 and 512 among them, where ``convolve`` runs its
 k-point stage as two GEMM passes), and one or an odd number of channels.
+A fixed example of width 64 = 8 * 8 always reaches the two-pass block
+stage.
 The radix-2 path draws the same packings and ignores k.  Examples are
 derandomized, so a run is reproducible.
 """
@@ -33,6 +35,9 @@ from rubiconv.transform import convolve_cmuls  # noqa: E402
 
 BOUNDED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 INTERLEAVED = ([1, 70, 1, 33, 70, 2, 1], 9, 8, 3, 0)
+# At k = 2 the 64-long document has width 64 = 8 * 8, so convolve runs its
+# block stage as two GEMM passes.
+FACTORED_WIDTH = ([64, 70, 1, 33], 80, 2, 3, 0)
 
 
 @st.composite
@@ -59,6 +64,7 @@ def _signal_and_bank(case):
 @BOUNDED
 @given(packings())
 @example(INTERLEAVED)
+@example(FACTORED_WIDTH)
 def test_convolve_matches_oracle_fused_and_unfused(case):
     plan, sig, bank, _ = _signal_and_bank(case)
     expected = oracle_matrix(case[0], sig.valid_values(), bank.taps)
@@ -69,6 +75,7 @@ def test_convolve_matches_oracle_fused_and_unfused(case):
 @BOUNDED
 @given(packings())
 @example(INTERLEAVED)
+@example(FACTORED_WIDTH)
 def test_perturbing_one_document_leaves_the_others_bit_identical(case):
     plan, sig, bank, rng = _signal_and_bank(case)
     layout = plan.layout
@@ -108,6 +115,7 @@ def test_radix2_convolve_matches_oracle_and_isolates_documents(case):
 @BOUNDED
 @given(packings())
 @example(INTERLEAVED)
+@example(FACTORED_WIDTH)
 def test_perturbing_a_suffix_leaves_earlier_outputs_and_other_documents(case):
     plan, sig, bank, rng = _signal_and_bank(case)
     layout = plan.layout
@@ -128,6 +136,7 @@ def test_perturbing_a_suffix_leaves_earlier_outputs_and_other_documents(case):
 @BOUNDED
 @given(packings())
 @example(INTERLEAVED)
+@example(FACTORED_WIDTH)
 def test_counted_convolve_matches_convolve_cmuls(case):
     plan, sig, bank, _ = _signal_and_bank(case)
     with count_ops() as counts:
@@ -138,6 +147,7 @@ def test_counted_convolve_matches_convolve_cmuls(case):
 @BOUNDED
 @given(packings())
 @example(INTERLEAVED)
+@example(FACTORED_WIDTH)
 def test_inverse_undoes_forward(case):
     plan, sig, _, rng = _signal_and_bank(case)
     x = sig.values + 1j * rng.standard_normal(sig.values.shape)
@@ -147,6 +157,7 @@ def test_inverse_undoes_forward(case):
 @BOUNDED
 @given(packings())
 @example(INTERLEAVED)
+@example(FACTORED_WIDTH)
 def test_forward_matches_naive_dft_per_document(case):
     plan, sig, _, rng = _signal_and_bank(case)
     layout = plan.layout

@@ -24,7 +24,14 @@ from rubiconv import (
     inverse,
     naive_dft,
 )
-from rubiconv.transform import _k_factors, _pair_channels, split_dual_real, transform_grid
+from rubiconv.transform import (
+    _dft_cmuls,
+    _k_factors,
+    _m_factors,
+    _pair_channels,
+    split_dual_real,
+    transform_grid,
+)
 
 
 def forward_vs_naive_worst(plan, x):
@@ -385,7 +392,8 @@ def _check_chunk_bounds(plan, calls, k2):
     # The call bound and chunk width of ``rubiconv.transform._CHUNKS``'s notes.
     chunks = rubiconv.transform._CHUNKS
     chunk = max(plan.groups[-1].width, -(-plan.layout.total_cols // chunks))
-    assert len(calls) <= (k2 + 2) * (2 * chunks + len(plan.groups))
+    block_calls = max(p + q if p > 1 else 1 for p, q in (_m_factors(g.width) for g in plan.groups))
+    assert len(calls) <= (k2 + 1 + block_calls) * (2 * chunks + len(plan.groups))
     blocks = [b for k_stage, b in calls if not k_stage]
     assert max(math.prod(b[:-1]) for b in blocks) <= chunk
 
@@ -471,6 +479,66 @@ def test_two_pass_stage_takes_many_columns_per_chunk_and_only_where_it_saves(mon
     _check_chunk_bounds(plan, calls, k2)
     monkeypatch.undo()
     assert rel_err(got, transform_grid(plan, grid)) <= 1e-12
+
+
+def test_pruned_calls_factor_m_by_its_largest_divisor_up_to_its_root():
+    factored = {64: (8, 8), 120: (10, 12), 128: (8, 16), 1024: (32, 32)}
+    # 60 = 6 * 10 has p below 8; 127 is prime.
+    for m in (1, 60, 127, *factored):
+        assert _m_factors(m) == factored.get(m, (1, m)), m
+
+
+def test_factoring_both_stages_cuts_the_long_document_count_below_six_tenths(monkeypatch):
+    # Four documents of 2^17 tokens with a full-length filter, at k = 256:
+    # width m = 1024, so the block stage dominates unless it is factored too.
+    layout = rubiconv.packing.build_layout([2**17] * 4, 2**17, 256)
+    assert set(layout.cols_per_doc) == {1024}
+    factored = rubiconv.transform.convolve_cmuls(layout, 16)
+    monkeypatch.setattr(rubiconv.transform, "_MIN_FACTOR", 10**9)
+    monkeypatch.setattr(rubiconv.transform, "_MIN_BLOCK_FACTOR", 10**9)
+    assert factored <= 0.6 * rubiconv.transform.convolve_cmuls(layout, 16)
+
+
+def _factored_width_cases():
+    # One document of width m whose filter is about as long as itself, so
+    # that m / 2 + 1 of its output columns are kept, which p does not
+    # divide, next to a narrower one.
+    rng = np.random.default_rng(31)
+    for m, k in ((64, 16), (72, 8), (128, 16), (1024, 4)):
+        half = m * k // 2
+        plan = build_plan([half + 1, 3 * k], filter_len=half - 1, k=k)
+        narrow, wide = plan.groups
+        p = _m_factors(m)[0]
+        assert wide.width == m and wide.live_cols == m // 2 + 1
+        for keep in (m, wide.live_cols):
+            assert _dft_cmuls(m, p, m, keep) < m * keep, (m, keep)
+        shape = (k, plan.layout.total_cols, 2)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for col, (g, _) in enumerate(_group_local_cols(plan)):
+            grid[g.live_rows :, col] = 0
+        yield plan, grid
+
+
+def test_two_pass_block_stage_matches_one_gemm_under_both_flags():
+    for plan, grid in _factored_width_cases():
+        expected = transform_grid(plan, grid)
+        assert rel_err(transform_grid(plan, grid, skip_zero_rows=True), expected) <= 1e-12
+        got = transform_grid(plan, grid, skip_unread_cols=True)
+        live = np.array([c < g.live_cols for g, c in _group_local_cols(plan)])
+        assert np.all(got[~live] == 0)
+        assert rel_err(got[live], expected[live]) <= 1e-12
+
+
+def test_two_pass_block_stage_gemm_calls_stay_within_the_chunk_bounds(monkeypatch):
+    # A factored width m = p * q makes p + q block-stage calls per chunk,
+    # each on at most a chunk's columns.
+    for plan, grid in _factored_width_cases():
+        calls = _recorded_gemm_calls(monkeypatch, plan)
+        transform_grid(plan, grid, skip_unread_cols=True)
+        monkeypatch.undo()
+        p, q = _m_factors(plan.groups[-1].width)
+        assert sum(b[-2] in (p, q) for is_k_stage, b in calls if not is_k_stage) == p + q
+        _check_chunk_bounds(plan, calls, k2=1)
 
 
 @pytest.mark.parametrize("k", [1, 4, 64, 256, 512])
