@@ -26,9 +26,11 @@ returns.  In this cell-major spectrum, frequency f = b * k + a of
 document i sits in cell (col_offsets[i] + b, a), so each document's
 spectrum is one contiguous run in natural frequency order.
 The dual-real split, the product, the channel pairing and the index maps
-all read it as it is.  Twiddles and DFT matrices depend only on a
-document's width m_i, so the plan builds one of each per distinct width
-and documents of equal width share them.
+all read it as it is: frequency -f of a run of n frequencies sits at
+(-f) mod n, so the split reads each run reversed, through views.
+Twiddles and DFT matrices depend only on a document's width m_i, so the
+plan builds one of each per distinct width and documents of equal width
+share them.
 
 The convolution entry point packs the real input and the real filter into
 one complex tensor (batch + i * filter), transforms once, recovers both
@@ -493,10 +495,9 @@ def convolve(
         docs = time_cells[group.cols]
         docs *= 1.0 / (plan.k * group.width)
 
-    values = plan.p2.apply(time_cells)
+    # An odd D drops its zero partner; the sliced view unloads without a copy.
+    values = plan.p2.apply(time_cells[..., : x.channels])
     del time_cells
-    if values.shape[1] != x.channels:  # an odd D drops its zero partner
-        values = np.ascontiguousarray(values[:, : x.channels])
     return PackedSignal._from_output(values, plan.layout)
 
 
@@ -522,7 +523,9 @@ def _pair_channels(product: np.ndarray, out: np.ndarray) -> None:
 
 # Bytes one chunk of ``split_dual_real`` works on, small enough to stay in a
 # core's private cache: per cell and channel, 16 of spectrum, 32 of
-# temporaries and 8 of half-width output.
+# temporaries and 8 of half-width output.  A chunk is whole grid columns,
+# at least one: as many whole runs of a width group as fit, or, where one
+# run does not fit, that run in pieces.
 _SPLIT_CHUNK_BYTES = 1 << 20
 
 
@@ -531,38 +534,43 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> np.ndarray:
 
     Given the cell-major spectrum z of z = b + i*f for real b and f,
     conjugate symmetry gives b_hat = (z + r) / 2 and f_hat = -i/2 * (z - r),
-    r being conj(z at -freq), a gather that stays inside each document's
-    run.  Their product is -(i/4) * (z + r)(z - r), and ``_pair_channels``
-    writes it as the inverse's input.  All of it runs per chunk of grid
-    columns sized to ``_SPLIT_CHUNK_BYTES``, so only the reads of z and
-    the writes of the result go to memory.  Returns the cell-major
-    (m_total, k, ceil(D/2)) array.
+    r being conj(z at -freq).  Each document's spectrum is one run of
+    n = k * m_i frequencies in natural order, so r[f] = conj(run[(-f) mod n])
+    is the run read backwards from its end, after its first element: a
+    reversed view, conjugated straight into a chunk buffer.  Their product
+    is -(i/4) * (z + r)(z - r), and ``_pair_channels`` writes it as the
+    inverse's input.  All of it runs per chunk of grid columns sized to
+    ``_SPLIT_CHUNK_BYTES``, so only the reads of z and the writes of the
+    result go to memory.  Returns the cell-major (m_total, k, ceil(D/2))
+    array.
     """
-    z = np.asarray(spectrum, dtype=np.complex128)
+    z = np.ascontiguousarray(spectrum, dtype=np.complex128)
+    if z.ndim != 3 or z.shape[:2] != (plan.layout.total_cols, plan.k):
+        raise ValueError(f"spectrum shape {z.shape} does not match {(plan.layout.total_cols, plan.k)}")
     m_total, k, channels = z.shape
     paired = np.empty((m_total, k, channels - channels // 2), dtype=np.complex128)
     step = max(1, _SPLIT_CHUNK_BYTES // (56 * k * channels))
-    rev_buf = np.empty((min(step, m_total), k, channels), dtype=np.complex128)
+    rev_buf = np.empty(min(step, m_total) * k * channels, dtype=np.complex128)
     prod_buf = np.empty_like(rev_buf)
     counting.add_complex_muls(2 * z.size, real_muls_each=4)
     for group in plan.groups:
-        m, start, n_cols = group.width, group.first_col, group.width * group.n_docs
-        # Cell (c, a) holds frequency f = b*k + a of its document, b being
-        # the local column.  Frequency -f sits in row (-a) mod k, at local
-        # column (-b) mod m when a = 0 and m - 1 - b otherwise.
-        local = np.arange(n_cols) % m
-        first = start + np.arange(n_cols) - local
-        rev_first, rev_rest = first + (-local) % m, first + m - 1 - local
-        for lo in range(0, n_cols, step):
-            hi = min(lo + step, n_cols)
-            cells = slice(start + lo, start + hi)
-            zc, r, p = z[cells], rev_buf[: hi - lo], prod_buf[: hi - lo]
-            r[:, 0] = z[rev_first[lo:hi], 0]
-            r[:, 1:] = z[rev_rest[lo:hi], :0:-1]
-            np.conjugate(r, out=r)
-            np.add(zc, r, out=p)
-            np.subtract(zc, r, out=r)
-            p *= r
-            p *= -0.25j
-            _pair_channels(p, paired[cells])
+        # A chunk is whole runs of n frequencies where one fits, else one run in pieces.
+        n, docs, piece = k * group.width, max(1, step // group.width), min(step, group.width) * k
+        runs, out = (a[group.cols].reshape(group.n_docs, n, -1) for a in (z, paired))
+        for d in range(0, group.n_docs, docs):
+            run = runs[d : d + docs]
+            for lo in range(0, n, piece):
+                hi = min(lo + piece, n)
+                zc = run[:, lo:hi]
+                r, p = (buf[: zc.size].reshape(zc.shape) for buf in (rev_buf, prod_buf))
+                # r[f] = conj(run[(-f) mod n]): run[0] at f = 0, run[n - f] from f = 1 on.
+                if lo == 0:
+                    np.conjugate(run[:, 0], out=r[:, 0])
+                f = max(lo, 1)
+                np.conjugate(run[:, n - f : n - hi : -1], out=r[:, f - lo :])
+                np.add(zc, r, out=p)
+                np.subtract(zc, r, out=r)
+                p *= r
+                p *= -0.25j
+                _pair_channels(p, out[d : d + docs, lo:hi])
     return paired

@@ -334,18 +334,36 @@ def test_grid_stages_ignore_memory_layout():
 
 
 def test_split_chunks_of_one_column_match_a_single_chunk(monkeypatch):
-    # With a one-column budget every document of width m_i > 1 spans m_i
-    # chunks, and its frequency -f is gathered from another chunk.
+    # A budget of c columns (56 * k * D bytes each) puts whole runs of width
+    # m <= c in one chunk and splits a wider run into pieces of c columns,
+    # whose frequency -f comes from another piece.  At k = 1 the pieces of
+    # one column end at f = 1 and f = n - 1.  Every chunking must give the
+    # one-chunk result bit for bit, except chunks of one element (k = D = 1,
+    # one column): numpy's in-place complex multiply rounds a one-element
+    # array differently, by an ulp, from a longer one.
     rng = np.random.default_rng(17)
-    plan = build_plan([7, 40, 1, 19, 90], filter_len=8, k=4)
-    assert max(plan.layout.cols_per_doc) > 1
-    for channels in (1, 2, 5):
-        shape = (plan.layout.total_cols, plan.k, channels)
-        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", 1 << 40)
-        whole = split_dual_real(plan, spectrum)
-        monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", 1)
-        assert np.array_equal(split_dual_real(plan, spectrum), whole)
+    layouts = (([7, 40, 1, 19, 90], 8, 4), ([9, 30, 1, 1, 17], 4, 1), ([64], 16, 4), ([1, 1, 1], 1, 2))
+    for lengths, filter_len, k in layouts:
+        plan = build_plan(lengths, filter_len=filter_len, k=k)
+        widths = sorted({g.width for g in plan.groups})
+        for channels in (1, 2, 5):
+            shape = (plan.layout.total_cols, plan.k, channels)
+            spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", 1 << 40)
+            whole = split_dual_real(plan, spectrum)
+            column = 56 * k * channels
+            budgets = {1, 2, 3, *widths, 2 * widths[-1], widths[-1] - 1} - {0}
+            for cols in sorted(budgets - {1} if k * channels == 1 else budgets):
+                monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", max(1, cols * column))
+                assert np.array_equal(split_dual_real(plan, spectrum), whole), (lengths, channels, cols)
+
+
+def test_split_rejects_a_spectrum_of_another_shape():
+    plan = build_plan([7, 40, 1], filter_len=8, k=4)
+    m_total, k = plan.layout.total_cols, plan.k
+    for shape in ((m_total + 1, k, 2), (m_total, 2 * k, 2), (m_total - 1, k, 2), (m_total, k)):
+        with pytest.raises(ValueError, match=rf"spectrum shape \({shape[0]}, .* does not match \({m_total}, {k}\)$"):
+            split_dual_real(plan, np.zeros(shape, dtype=complex))
 
 
 @pytest.mark.parametrize(
@@ -590,7 +608,9 @@ def test_pipeline_entry_points_take_no_gemm_mode():
 
 def test_spectra_are_cell_major_and_maps_read_c_order(monkeypatch):
     # transform_grid hands back the (m_total, k, D) array it writes, and
-    # every gather reads its input as it is, with no layout translation.
+    # every gather reads its input as it is, with no layout translation:
+    # the flat view ``take`` reads needs no copy, even where an odd D's
+    # unload reads the inverse's output without its zero partner.
     rng = np.random.default_rng(18)
     lengths = [7, 40, 1, 19]
     plan = build_plan(lengths, filter_len=8, k=4)
@@ -603,7 +623,8 @@ def test_spectra_are_cell_major_and_maps_read_c_order(monkeypatch):
     apply = rubiconv.packing.IndexMap.apply
 
     def recording(index_map, values):
-        inputs.append(values)
+        lead = len(index_map.src_shape)
+        inputs.append(((math.prod(index_map.src_shape),) + values.shape[lead:], values))
         return apply(index_map, values)
 
     monkeypatch.setattr(rubiconv.packing.IndexMap, "apply", recording)
@@ -614,7 +635,8 @@ def test_spectra_are_cell_major_and_maps_read_c_order(monkeypatch):
     x = rng.standard_normal((plan.layout.total_padded, 3)) + 0j
     inverse(plan, forward(plan, x))
     assert len(inputs) == 3 + 4 + 2 + 2  # fused, unfused, forward, inverse
-    assert all(values.flags.c_contiguous for values in inputs)
+    for flat, values in inputs:
+        assert np.shares_memory(np.reshape(values, flat, copy=False), values)
 
 
 def test_convolve_channel_mismatch_rejected():
