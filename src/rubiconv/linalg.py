@@ -21,12 +21,12 @@ GEMM_MODES = ("standard", "karatsuba")
 
 
 def _whole(value, what: str) -> int:
-    """``value`` as an int, refusing any value that ``int`` would truncate."""
+    """``value`` as an int, refusing a bool and any value that ``int`` would truncate."""
     try:
         whole = int(value)
     except (OverflowError, ValueError):  # inf, nan
         whole = None
-    if whole is None or whole != value:
+    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return whole
 

@@ -164,12 +164,13 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
 class WidthGroup(NamedTuple):
     """One run of equal-width column blocks in the width-sorted grid.
 
-    Besides where the run sits, a group records two bounds that hold for
-    every document i in it.  A row-major load puts positions t < L_i in
-    rows r < ceil(L_i / m), so rows at and past ``live_rows`` hold only
-    padding.  A transformed grid holds time b * k + a at cell (a, b) of a
-    block, so times t < L_i sit in columns b < ceil(L_i / k), and columns
-    at and past ``live_cols`` hold only padding tails.
+    Besides where the run sits, a group records its longest document and
+    two bounds that follow from it for every document i in it.  A
+    row-major load puts positions t < L_i in rows r < ceil(L_i / m), so
+    rows at and past ``live_rows`` hold only padding.  A transformed grid
+    holds time b * k + a at cell (a, b) of a block, so times t < L_i sit
+    in columns b < ceil(L_i / k), and columns at and past ``live_cols``
+    hold only padding tails.
     """
 
     width: int  # m, columns per document
@@ -177,6 +178,7 @@ class WidthGroup(NamedTuple):
     n_docs: int
     live_rows: int  # max ceil(L_i / m) over the run
     live_cols: int  # max ceil(L_i / k) over the run
+    longest: int  # max L_i over the run
 
     @property
     def cols(self) -> slice:
@@ -192,11 +194,11 @@ def width_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
     widths, lengths = widths[order], lengths[order]
     starts = np.flatnonzero(np.diff(widths, prepend=0))
     counts = np.diff(starts, append=len(order))
-    live_rows = np.maximum.reduceat(-(-lengths // widths), starts)
-    live_cols = np.maximum.reduceat(-(-lengths // layout.k), starts)
+    longest = np.maximum.reduceat(lengths, starts)
+    live_rows, live_cols = -(-longest // widths[starts]), -(-longest // layout.k)
     return tuple(
-        WidthGroup(int(widths[s]), layout.col_offsets[doc], int(n), int(r), int(b))
-        for s, doc, n, r, b in zip(starts, order[starts], counts, live_rows, live_cols)
+        WidthGroup(int(widths[s]), layout.col_offsets[doc], int(n), int(r), int(b), int(n_max))
+        for s, doc, n, r, b, n_max in zip(starts, order[starts], counts, live_rows, live_cols, longest)
     )
 
 

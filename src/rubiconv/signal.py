@@ -11,6 +11,14 @@ from .packing import _span_positions
 
 
 def _as_channels(values: np.ndarray) -> np.ndarray:
+    """A real (n,) or (n, channels) array as float64 (n, channels).
+
+    Complex values are refused rather than cast, which would drop their
+    imaginary parts.
+    """
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"expected a real array, got {values.dtype}")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values[:, None]

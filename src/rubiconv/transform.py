@@ -32,17 +32,30 @@ Twiddles and DFT matrices depend only on a document's width m_i, so the
 plan builds one of each per distinct width and documents of equal width
 share them.
 
-The convolution entry point packs the real input and the real filter into
-one complex tensor (batch + i * filter), transforms once, recovers both
-spectra through conjugate symmetry and multiplies them point-wise on the
-grid, reorders for the inverse, and reuses the forward kernel via
-ifft(x) = conj(fft(conj(x))) / n.  The split, the product and the channel
-pairing below run fused, per chunk of grid columns small enough to stay
-in a core's private cache, so the forward half holds at most two full
-complex arrays: the loaded grid and the spectrum during the forward, the
-spectrum and the half-width inverse input after it.  Zeroing each
-document's tail past its original length at the end removes the padding
-and leaves a strictly causal, boundary-respecting result.
+The convolution entry point pairs adjacent real channels a = 2j and
+b = 2j + 1 of its input into one complex channel x_a + i * x_b, a view of
+the float64 buffer (an odd D copies once and pairs its last channel with
+zero), and runs the forward over those ceil(D/2) channels.  The filter is
+transformed once per width group, paired the same way: every document i
+of a group shares L' = k * m, and the filter with the group's
+n_w = max min(L_F, L_i) taps serves them all, since its taps cover each
+document's causal support and L_i + n_w - 1 <= L' never wraps one onto a
+kept output.  Each group's filter is laid out as one document of that
+group, its longest, so its span read as (k, m, ceil(D/2)) is its own grid
+and runs through the same stage code as the data.  The split recovers
+both channels of both spectra through conjugate symmetry, multiplies each
+channel by its group's filter spectrum and writes the paired inverse
+input; it runs per chunk of grid columns small enough to stay in a core's
+private cache, so the forward half holds at most two half-width complex
+arrays: the loaded grid and the spectrum during the forward, the spectrum
+and the inverse input after it.  The spectra are reordered for the
+inverse, which reuses the forward kernel via
+ifft(x) = conj(fft(conj(x))) / n.  Zeroing each document's tail past its
+original length at the end removes the padding and leaves a strictly
+causal, boundary-respecting result.  A document's output depends on its
+own input and its group's filter only, so documents stay independent; a
+non-finite tap below n_w reaches every document of the group, where a
+document shorter than the tap's index would have dropped it.
 
 The inverse uses the outputs' realness too.  Each channel's product
 spectrum P is Hermitian within every document, so for adjacent channels
@@ -50,7 +63,7 @@ a = 2j and b = 2j + 1 the forward kernel applied to conj(P_a) + i*conj(P_b)
 returns L_i' * (y_a + i*y_b): one complex inverse over ceil(D/2) channels
 yields all D real outputs, already in channel order when viewed as float64.
 An odd D pairs its last channel with zero.  Paired channels share one
-inverse, so they share its roundoff, and a NaN or inf in channel 2j can
+forward and one inverse, so they share their roundoff, and a NaN or inf in channel 2j can
 reach channel 2j + 1 (and back), but only within the same document: no
 stage mixes documents.
 
@@ -66,7 +79,7 @@ rest.  ``forward``, ``inverse`` and a default ``transform_grid`` call run
 the full transform, k^2 m_total + k * sum(m_i^2) + k m_total complex
 multiplications per channel.
 
-Those two pruned calls also factor the k-point stage, as Bailey's six-step
+Those pruned calls also factor the k-point stage, as Bailey's six-step
 FFT does, where k = k1 * k2 and k1, the largest divisor of k not above
 sqrt(k), is at least 16 (k = 256 = 16 * 16 and 512 = 16 * 32 factor,
 k = 64 does not).  With input row a = n1 * k2 + n2, a k1-point GEMM per
@@ -87,16 +100,19 @@ takes the cheaper, so the k-point stage costs K(r) = min(k * r,
 k1 * r + k * k2) per grid column and the block stage
 B(m, c) = min(m * c, m * (p + ceil(c / p))) per document, grid row and
 channel; an unfactored k or m keeps the one-GEMM cost.  (At k = 256, two
-passes pay from r = 18 rows on.)  A convolution over D channels counts
-(``convolve_cmuls``)
+passes pay from r = 18 rows on.)  The group filters' transforms prune
+and factor the same way, reading r'_w = ceil(n_w / m_w) rows and keeping
+every column.  A convolution over D channels counts (``convolve_cmuls``)
 
-    D * (sum_w c_w K(r_w) + k m_total + k * sum_i B(m_i, m_i))
-      + ceil(D/2) * (m_total K(k) + k m_total + k * sum_i B(m_i, b_w(i)))
-      + 2 k m_total D
+    ceil(D/2) * (sum_w c_w K(r_w) + k m_total + k * sum_i B(m_i, m_i)
+                 + sum_w (m_w K(r'_w) + k m_w + k B(m_w, m_w) + 2 k m_w)
+                 + m_total K(k) + k m_total + k * sum_i B(m_i, b_w(i))
+                 + 2 k m_total)
 
-complex multiplications: the pruned forward, the paired, pruned inverse,
-and per cell and channel two for the fused split and product: the product
-(z + conj(z_rev)) (z - conj(z_rev)) and its scale by -i/4.
+complex multiplications: the pruned, paired forward; per group the
+filter's transform and two per filter cell for the split's A and B (see
+``split_dual_real``); the paired, pruned inverse; and per cell and paired
+channel two for the split and product, conj(z) * A + conj(r) * B.
 """
 
 from __future__ import annotations
@@ -200,9 +216,11 @@ def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     forward = inverse = k * m_total  # the twiddles
     for g in width_groups(layout):
         m, cols, p = g.width, g.width * g.n_docs, _m_factors(g.width)[0]
+        taps = -(-min(layout.filter_len, g.longest) // m)  # the group filter's live rows
         forward += cols * _dft_cmuls(k, k1, g.live_rows, k) + g.n_docs * k * _dft_cmuls(m, p, m, m)
+        forward += m * _dft_cmuls(k, k1, taps, k) + k * m + k * _dft_cmuls(m, p, m, m) + 2 * k * m
         inverse += cols * _dft_cmuls(k, k1, k, k) + g.n_docs * k * _dft_cmuls(m, p, m, g.live_cols)
-    return channels * forward + (channels + 1) // 2 * inverse + 2 * k * m_total * channels
+    return (channels + 1) // 2 * (forward + inverse + 2 * k * m_total)
 
 
 def _freeze(array: np.ndarray) -> None:
@@ -249,10 +267,38 @@ def transform_grid(
         raise ValueError(f"grid leading shape {grid.shape} does not match {(k, m_total)}")
     width = int(np.prod(grid.shape[2:], dtype=np.int64))
     rows = grid.reshape(k, m_total * width)
-    cells = rows.T
+    pruned = skip_zero_rows or skip_unread_cols
+    work = np.empty((m_total, width, k), dtype=np.complex128)
+    scratch = np.empty(max(plan.groups[-1].width, -(-m_total // _CHUNKS)) * width * k, dtype=np.complex128)
+    for index, group in enumerate(plan.groups):
+        live = group.live_rows if skip_zero_rows else k
+        keep = group.live_cols if skip_unread_cols else group.width
+        _group_stages(plan, index, rows, work, group.cols, live, keep, pruned, scratch)
+    return work.reshape((m_total, k) + grid.shape[2:])
 
-    # Width groups are contiguous, and each walks its columns in chunks of
-    # whole documents (see ``_CHUNKS``), running the three stages per chunk.
+
+def _group_stages(
+    plan: RubiConvPlan,
+    index: int,
+    rows: np.ndarray,
+    work: np.ndarray,
+    cols: slice,
+    live: int,
+    keep: int,
+    pruned: bool,
+    scratch: np.ndarray,
+) -> None:
+    """The three stages of width group ``index`` over the grid columns ``cols``.
+
+    ``rows`` is the loaded (k, columns * D) grid and ``work`` its
+    (columns, D, k) output; the k-point stage reads the first ``live``
+    rows, and the block stage keeps the first ``keep`` output columns of
+    each block.  ``pruned`` lets either stage run as two GEMM passes where
+    that counts fewer multiplications, and ``scratch`` holds one chunk of
+    either stage: its size over D * k sets the chunk's columns.
+    """
+    # The group walks its columns in chunks of whole documents (see
+    # ``_CHUNKS``), running the three stages per chunk.
     # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major;
     # pruned, a group contracts over its live rows only.  Where that costs
     # fewer multiplications, the k-point stage runs as two GEMM passes and
@@ -264,34 +310,28 @@ def transform_grid(
     # ``part``), and its result goes back, in natural order, into the
     # memory the chunk held in ``work``, with channels last, so that a
     # cell's channels are contiguous for the stages that follow.
-    pruned = skip_zero_rows or skip_unread_cols
+    k, width = plan.k, work.shape[1]
+    m_i, twiddle, dft = plan.groups[index].width, plan.twiddles[index], plan.m2[index]
+    cells = rows.T
+    counting.add_complex_muls((cols.stop - cols.start) * width * k, real_muls_each=4)  # the twiddles
     k1 = _k_factors(k)[0] if pruned else 1
-    work = np.empty((m_total, width, k), dtype=np.complex128)
-    counting.add_complex_muls(work.size, real_muls_each=4)  # the twiddles
-    chunk = max(plan.groups[-1].width, -(-m_total // _CHUNKS))
-    scratch = np.empty(chunk * width * k, dtype=np.complex128)
-    for group, twiddle, dft in zip(plan.groups, plan.twiddles, plan.m2):
-        m_i, cols = group.width, group.cols
-        live = group.live_rows if skip_zero_rows else k
-        f1 = k1 if _dft_cmuls(k, k1, live, k) < k * live else 1
-        f2 = k // f1
-        table = twiddle.reshape(m_i, f2, f1).transpose(0, 2, 1)[:, None]
-        keep = group.live_cols if skip_unread_cols else m_i
-        p = _m_factors(m_i)[0] if pruned else 1
-        p = p if _dft_cmuls(m_i, p, m_i, keep) < m_i * keep else 1
-        step = chunk // m_i * m_i
-        part = np.empty(step // p * width * k, dtype=np.complex128) if p > 1 else scratch
-        for lo in range(cols.start, cols.stop, step):
-            hi = min(lo + step, cols.stop)
-            stack, n_docs, span = work[lo:hi], (hi - lo) // m_i, slice(lo * width, hi * width)
-            if f1 == 1:
-                gemm(cells[span, :live], plan.m1[:live], out=stack.reshape(-1, k))
-            else:
-                _two_pass_k_stage(plan.m1, rows[:, span], stack, live, k1, scratch)
-            docs = stack.reshape(n_docs, m_i, width, f1, f2)
-            docs *= table
-            _block_stage(dft, docs, keep, p, scratch, part)
-    return work.reshape((m_total, k) + grid.shape[2:])
+    f1 = k1 if _dft_cmuls(k, k1, live, k) < k * live else 1
+    f2 = k // f1
+    table = twiddle.reshape(m_i, f2, f1).transpose(0, 2, 1)[:, None]
+    p = _m_factors(m_i)[0] if pruned else 1
+    p = p if _dft_cmuls(m_i, p, m_i, keep) < m_i * keep else 1
+    step = scratch.size // (width * k) // m_i * m_i
+    part = np.empty(step // p * width * k, dtype=np.complex128) if p > 1 else scratch
+    for lo in range(cols.start, cols.stop, step):
+        hi = min(lo + step, cols.stop)
+        stack, n_docs, span = work[lo:hi], (hi - lo) // m_i, slice(lo * width, hi * width)
+        if f1 == 1:
+            gemm(cells[span, :live], plan.m1[:live], out=stack.reshape(-1, k))
+        else:
+            _two_pass_k_stage(plan.m1, rows[:, span], stack, live, k1, scratch)
+        docs = stack.reshape(n_docs, m_i, width, f1, f2)
+        docs *= table
+        _block_stage(dft, docs, keep, p, scratch, part)
 
 
 # convolve's pruned transforms run an n-point DFT stage as two GEMM passes
@@ -442,10 +482,12 @@ def convolve(
 ) -> PackedSignal:
     """Depthwise causal convolution of a packed signal, document by document.
 
-    With ``fused=True`` (default) the batch and filter share one forward
-    transform via real-to-complex packing; ``fused=False`` keeps a
-    two-transform reference path whose spectra come straight from separate
-    forward passes.  Both run the same paired inverse, which takes adjacent
+    With ``fused=True`` (default) the forward transforms adjacent channels
+    of the batch as one complex channel, over ceil(D/2) channels, and the
+    filter once per width group, paired the same way; ``fused=False``
+    keeps a two-transform reference path whose spectra come straight from
+    separate forward passes over all D channels, with one filter copy per
+    document.  Both run the same paired inverse, which takes adjacent
     channels through one complex transform, and both skip the causal
     padding inside their GEMMs (see the module notes).  Both produce the
     causal linear convolution truncated to each document's original length,
@@ -457,19 +499,23 @@ def convolve(
     # keep peak memory down.  Both inputs are zero at and past each
     # document's length (PackedSignal checks the tails, embed_filter keeps
     # at most L_i taps), so the forward skips the grid rows past them.
-    taps_grid = embed_filter(plan.layout, bank)
     if fused:
-        packed = np.empty(x.values.shape, dtype=np.complex128)
-        packed.real = x.values
-        packed.imag = taps_grid
-        del taps_grid
-        grid = plan.p1.apply(packed)
-        del packed
+        # Every document of a width group shares L' = k * m, so the filter
+        # with the group's longest document's min(L_F, L_i) taps serves
+        # them all (see the module notes).  It is laid out on a layout of
+        # those longest documents, one per group, where build_layout gives
+        # each its group's width.
+        longest = [group.longest for group in plan.groups]
+        taps = embed_filter(build_layout(longest, plan.layout.filter_len, plan.k), bank)
+        filter_spectra = _filter_spectra(plan, _as_complex_pairs(taps))
+        del taps
+        grid = plan.p1.apply(_as_complex_pairs(x.values))
         spectrum = transform_grid(plan, grid, skip_zero_rows=True)
         del grid
-        paired = split_dual_real(plan, spectrum)
-        del spectrum
+        paired = split_dual_real(plan, spectrum, filter_spectra)
+        del spectrum, filter_spectra
     else:
+        taps_grid = embed_filter(plan.layout, bank)
         grid = plan.p1.apply(x.values.astype(np.complex128))
         batch_hat = transform_grid(plan, grid, skip_zero_rows=True)
         del grid
@@ -521,56 +567,135 @@ def _pair_channels(product: np.ndarray, out: np.ndarray) -> None:
         np.negative(parts[:, -1, 1], out=q[:, pairs, 1])
 
 
+def _as_complex_pairs(values: np.ndarray) -> np.ndarray:
+    """Real (n, D) channels as (n, ceil(D/2)) complex ones, x_2j + i * x_2j+1.
+
+    A C-contiguous float64 array with even D is viewed, not copied; an odd
+    D is copied once, its last channel paired with zero.
+    """
+    n, channels = values.shape
+    if channels % 2:
+        values = np.concatenate([values, np.zeros((n, 1))], axis=1)
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.complex128)
+
+
+def _filter_spectra(plan: RubiConvPlan, taps: np.ndarray) -> np.ndarray:
+    """Transform each width group's filter, laid out as one document of that group.
+
+    ``taps`` holds the paired filter channels, one padded span of k * m
+    positions per group in group order.  A span read as (k, m, channels)
+    is its row-major grid, so it goes through the group's stages with no
+    gather, its live rows those of its taps.  Returns the cell-major
+    (sum of the widths, k, channels) spectra, one block of m columns per
+    group.
+    """
+    k, channels = plan.k, taps.shape[1]
+    widths = [group.width for group in plan.groups]
+    spectra = np.empty((sum(widths), channels, k), dtype=np.complex128)
+    scratch = np.empty(max(widths) * channels * k, dtype=np.complex128)
+    col = 0
+    for index, m in enumerate(widths):
+        n_taps = min(plan.layout.filter_len, plan.groups[index].longest)
+        rows = taps[k * col : k * (col + m)].reshape(k, m * channels)
+        live = -(-n_taps // m)
+        _group_stages(plan, index, rows, spectra[col : col + m], slice(0, m), live, m, True, scratch)
+        col += m
+    return spectra.reshape(-1, k, channels)
+
+
 # Bytes one chunk of ``split_dual_real`` works on, small enough to stay in a
-# core's private cache: per cell and channel, 16 of spectrum, 32 of
-# temporaries and 8 of half-width output.  A chunk is whole grid columns,
-# at least one: as many whole runs of a width group as fit, or, where one
-# run does not fit, that run in pieces.
+# core's private cache.  Per cell and paired channel, _SPLIT_CELL_BYTES:
+# 16 of spectrum, 16 of temporary, 16 of output, and at most 32 of the
+# filter's A and B, which the chunk's documents share.  A chunk is whole
+# grid columns, at least one: as many whole runs of a width group as fit,
+# or, where one run does not fit, that run in pieces.
 _SPLIT_CHUNK_BYTES = 1 << 20
+_SPLIT_CELL_BYTES = 80
 
 
-def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray) -> np.ndarray:
-    """Paired inverse input of b_hat * f_hat, from one packed transform.
+def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np.ndarray) -> np.ndarray:
+    """Paired inverse input of X * F per channel, from paired spectra of both.
 
-    Given the cell-major spectrum z of z = b + i*f for real b and f,
-    conjugate symmetry gives b_hat = (z + r) / 2 and f_hat = -i/2 * (z - r),
-    r being conj(z at -freq).  Each document's spectrum is one run of
-    n = k * m_i frequencies in natural order, so r[f] = conj(run[(-f) mod n])
-    is the run read backwards from its end, after its first element: a
-    reversed view, conjugated straight into a chunk buffer.  Their product
-    is -(i/4) * (z + r)(z - r), and ``_pair_channels`` writes it as the
-    inverse's input.  All of it runs per chunk of grid columns sized to
-    ``_SPLIT_CHUNK_BYTES``, so only the reads of z and the writes of the
-    result go to memory.  Returns the cell-major (m_total, k, ceil(D/2))
-    array.
+    ``spectrum`` is the cell-major transform z = X_a + i * X_b of paired
+    real channels a = 2j and b = 2j + 1, and ``filter_spectra`` the same
+    for the filter, one block of m columns per width group
+    (``_filter_spectra``).  Conjugate symmetry gives X_a = (z + r) / 2 and
+    X_b = -i/2 * (z - r), r being conj(z at -freq), and likewise F_a and
+    F_b, and the inverse's input is conj(X_a F_a) + i * conj(X_b F_b).
+    Expanded, that is conj(z) * A + conj(r) * B with the group's
+    A = conj(F_a - F_b) / 2 and B = conj(F_a + F_b) / 2, broadcast over
+    its documents.  Each document's spectrum is one run of n = k * m_i
+    frequencies in natural order, so conj(r[f]) = run[(-f) mod n] is the
+    run read backwards from its end, after its first element: a reversed
+    view.  All of it runs per chunk of grid columns sized to
+    ``_SPLIT_CHUNK_BYTES``, A and B once per group and piece of its runs,
+    so only the reads of the spectra and the writes of the result go to
+    memory.  Returns the cell-major array of z's shape.
     """
     z = np.ascontiguousarray(spectrum, dtype=np.complex128)
-    if z.ndim != 3 or z.shape[:2] != (plan.layout.total_cols, plan.k):
-        raise ValueError(f"spectrum shape {z.shape} does not match {(plan.layout.total_cols, plan.k)}")
-    m_total, k, channels = z.shape
-    paired = np.empty((m_total, k, channels - channels // 2), dtype=np.complex128)
-    step = max(1, _SPLIT_CHUNK_BYTES // (56 * k * channels))
-    rev_buf = np.empty(min(step, m_total) * k * channels, dtype=np.complex128)
-    prod_buf = np.empty_like(rev_buf)
-    counting.add_complex_muls(2 * z.size, real_muls_each=4)
+    zf = np.ascontiguousarray(filter_spectra, dtype=np.complex128)
+    m_total, k = plan.layout.total_cols, plan.k
+    if z.ndim != 3 or z.shape[:2] != (m_total, k):
+        raise ValueError(f"spectrum shape {z.shape} does not match {(m_total, k)}")
+    pairs = z.shape[2]
+    widths = sum(group.width for group in plan.groups)
+    if zf.shape != (widths, k, pairs):
+        raise ValueError(f"filter spectra shape {zf.shape} does not match {(widths, k, pairs)}")
+    paired = np.empty_like(z)
+    step = max(1, _SPLIT_CHUNK_BYTES // (_SPLIT_CELL_BYTES * k * pairs))
+    size = min(step, m_total) * k * pairs
+    t_buf, a_buf, b_buf = (np.empty(size, dtype=np.complex128) for _ in range(3))
+    counting.add_complex_muls(2 * (z.size + zf.size), real_muls_each=4)
+    col = 0
     for group in plan.groups:
         # A chunk is whole runs of n frequencies where one fits, else one run in pieces.
         n, docs, piece = k * group.width, max(1, step // group.width), min(step, group.width) * k
-        runs, out = (a[group.cols].reshape(group.n_docs, n, -1) for a in (z, paired))
-        for d in range(0, group.n_docs, docs):
-            run = runs[d : d + docs]
-            for lo in range(0, n, piece):
-                hi = min(lo + piece, n)
-                zc = run[:, lo:hi]
-                r, p = (buf[: zc.size].reshape(zc.shape) for buf in (rev_buf, prod_buf))
-                # r[f] = conj(run[(-f) mod n]): run[0] at f = 0, run[n - f] from f = 1 on.
+        fz = zf[col : col + group.width].reshape(1, n, pairs)
+        col += group.width
+        runs, out = (arr[group.cols].reshape(group.n_docs, n, pairs) for arr in (z, paired))
+        for lo in range(0, n, piece):
+            hi = min(lo + piece, n)
+            a, b, t = (buf[: (hi - lo) * pairs].reshape(1, hi - lo, pairs) for buf in (a_buf, b_buf, t_buf))
+            _group_filter(fz, lo, hi, a, b, t)
+            for d in range(0, group.n_docs, docs):
+                # Every multiply writes a buffer it does not read, from
+                # operands of equal rank: numpy rounds a one-element complex
+                # multiply in place, or one that broadcasts an operand of
+                # lower rank, an ulp differently, and the result would then
+                # depend on the chunking.
+                run, o = runs[d : d + docs], out[d : d + docs, lo:hi]
+                t = t_buf[: o.size].reshape(o.shape)
+                np.multiply(run[:, lo:hi], a, out=t)
+                np.conjugate(t, out=o)
+                # conj(r[f]) = run[(-f) mod n]: run[0] at f = 0, run[n - f] from f = 1 on.
                 if lo == 0:
-                    np.conjugate(run[:, 0], out=r[:, 0])
+                    np.multiply(run[:, :1], b[:, :1], out=t[:, :1])
                 f = max(lo, 1)
-                np.conjugate(run[:, n - f : n - hi : -1], out=r[:, f - lo :])
-                np.add(zc, r, out=p)
-                np.subtract(zc, r, out=r)
-                p *= r
-                p *= -0.25j
-                _pair_channels(p, out[d : d + docs, lo:hi])
+                np.multiply(run[:, n - f : n - hi : -1], b[:, f - lo :], out=t[:, f - lo :])
+                o += t
     return paired
+
+
+def _group_filter(run: np.ndarray, lo: int, hi: int, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
+    """conj(A) and B of ``split_dual_real`` at frequencies lo <= f < hi of a paired filter run.
+
+    With u = conj(z) and v = z at -freq, read as the split reads the data,
+    conj(F_a) = (u + v) / 2 and conj(F_b) = i/2 * (u - v), so
+    A = conj(F_a - F_b) / 2 = s + d and B = conj(F_a + F_b) / 2 = s - d
+    for s = (u + v) / 4 and d = i/4 * (v - u).  ``run`` is (1, n, D),
+    and conj(A) and B go into ``a`` and ``b``, (1, hi - lo, D) like the
+    temporary ``t``.
+    """
+    n = run.shape[1]
+    np.conjugate(run[:, lo:hi], out=t)
+    if lo == 0:
+        b[:, 0] = run[:, 0]
+    f = max(lo, 1)
+    b[:, f - lo :] = run[:, n - f : n - hi : -1]
+    np.add(t, b, out=a)
+    b -= t
+    np.multiply(a, 0.25, out=t)
+    np.multiply(b, 0.25j, out=a)
+    np.subtract(t, a, out=b)
+    a += t
+    np.conjugate(a, out=a)

@@ -128,6 +128,7 @@ def test_width_groups_tile_the_grid_and_bound_each_document():
             # (the transformed grid), in column t // k.
             assert g.live_rows == max(-(-n // g.width) for n in lengths) <= k
             assert g.live_cols == max(-(-n // k) for n in lengths) <= g.width
+            assert g.longest == max(lengths)
         assert col == layout.total_cols
 
 

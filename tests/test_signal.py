@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rubiconv import FilterBank, PackedSignal, build_ct_layout, build_layout, embed_filter
+from rubiconv import FilterBank, PackedSignal, build_ct_layout, build_layout, build_plan, embed_filter
 
 
 def test_filter_bank_normalizes_1d_taps():
@@ -81,3 +81,25 @@ def test_packed_signal_rejects_any_nonzero_padding_position():
     for off, length in zip(layout.pos_offsets, layout.doc_lengths):
         values[off : off + length] = 1.0
     PackedSignal(values, layout)
+
+
+def test_complex_documents_and_taps_are_refused_not_truncated():
+    layout = build_layout([3, 5], filter_len=2, k=2)
+    zeros = np.zeros((layout.total_padded, 2))
+    for values in (zeros + 0j, zeros.astype(np.complex64), [[1j, 0.0]] * layout.total_padded):
+        with pytest.raises(ValueError, match="real array"):
+            PackedSignal(values, layout)
+    with pytest.raises(ValueError, match="real array"):
+        PackedSignal.from_documents(layout, [np.ones((3, 2)), np.ones((5, 2)) * 1j])
+    for taps in (np.ones((2, 2)) + 1e-3j, np.zeros(2, dtype=complex)):
+        with pytest.raises(ValueError, match="real array"):
+            FilterBank(taps)
+
+
+def test_a_bool_k_is_refused():
+    for k in (True, False, np.True_):
+        with pytest.raises(ValueError, match="whole number"):
+            build_layout([3, 5], filter_len=2, k=k)
+        with pytest.raises(ValueError, match="whole number"):
+            build_plan([3, 5], filter_len=2, k=k)
+    assert build_layout([3, 5], filter_len=2, k=1).k == 1

@@ -290,25 +290,51 @@ def test_convolve_cross_document_bit_isolation():
     assert np.array_equal(base.documents()[2], out.documents()[2])
 
 
-def _paired_product(b_hat, f_hat):
-    product = b_hat * f_hat
+def _paired_product(product):
     paired = np.empty(product.shape[:2] + ((product.shape[2] + 1) // 2,), dtype=complex)
     _pair_channels(product, paired)
     return paired
 
 
+def _paired(values):
+    """Channels 2j + i * (2j + 1) of a real (n, D) array, an odd last one paired with zero."""
+    values = np.concatenate([values, np.zeros((len(values), values.shape[1] % 2))], axis=1)
+    return values[:, 0::2] + 1j * values[:, 1::2]
+
+
+def _filter_plan(plan):
+    """A plan of one document per width group, its longest: the layout convolve's filters use."""
+    return build_plan([g.longest for g in plan.groups], plan.layout.filter_len, plan.k)
+
+
+def _random_filter_spectra(rng, plan, pairs):
+    shape = (sum(g.width for g in plan.groups), plan.k, pairs)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def test_dual_real_recovery_matches_separate_transforms():
+    # Each channel's spectrum, transformed on its own, times its group's
+    # filter spectrum, transformed on its own on the filter layout, then
+    # paired for the inverse.
     rng = np.random.default_rng(12)
     for _ in range(10):
         lengths = random_doc_lengths(rng, max_docs=6, max_len=48)
         plan = build_plan(lengths, filter_len=6, k=int(rng.choice([1, 4, 16])))
-        shape = (plan.layout.total_padded, int(rng.choice([1, 2, 3])))
-        b = rng.standard_normal(shape)
-        f = rng.standard_normal(shape)
-        paired = split_dual_real(plan, transform_grid(plan, plan.p1.apply(b + 1j * f)))
-        b_ref = transform_grid(plan, plan.p1.apply(b.astype(complex)))
-        f_ref = transform_grid(plan, plan.p1.apply(f.astype(complex)))
-        assert rel_err(paired, _paired_product(b_ref, f_ref)) <= 1e-10
+        filters = _filter_plan(plan)
+        assert [g.width for g in filters.groups] == [g.width for g in plan.groups]
+        channels = int(rng.choice([1, 2, 3]))
+        b = rng.standard_normal((plan.layout.total_padded, channels))
+        f = rng.standard_normal((filters.layout.total_padded, channels))
+        z = transform_grid(plan, plan.p1.apply(_paired(b)))
+        zf = transform_grid(filters, filters.p1.apply(_paired(f)))
+        paired = split_dual_real(plan, z, zf)
+        product = transform_grid(plan, plan.p1.apply(b.astype(complex)))
+        f_ref = transform_grid(filters, filters.p1.apply(f.astype(complex)))
+        group_spectra = np.split(f_ref, np.cumsum([g.width for g in plan.groups])[:-1])
+        for group, spectrum in zip(plan.groups, group_spectra):
+            docs = product[group.cols].reshape(group.n_docs, group.width, plan.k, channels)
+            docs *= spectrum
+        assert rel_err(paired, _paired_product(product)) <= 1e-10
 
 
 def test_grid_stages_ignore_memory_layout():
@@ -319,7 +345,8 @@ def test_grid_stages_ignore_memory_layout():
         shape = (plan.k, plan.layout.total_cols, 3)
         grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         expected = transform_grid(plan, grid)
-        expected_split = split_dual_real(plan, expected)
+        filter_spectra = _random_filter_spectra(rng, plan, 3)
+        expected_split = split_dual_real(plan, expected, filter_spectra)
         # Transposed views of the same values: column-major grids with the
         # channels last or in the middle.
         for axes in ((1, 0, 2), (1, 2, 0)):
@@ -328,42 +355,53 @@ def test_grid_stages_ignore_memory_layout():
             assert np.array_equal(transform_grid(plan, view), expected)
             spectrum = np.ascontiguousarray(expected.transpose(axes)).transpose(np.argsort(axes))
             assert not spectrum.flags.c_contiguous or plan.k == 1
-            assert np.array_equal(split_dual_real(plan, spectrum), expected_split)
+            assert np.array_equal(split_dual_real(plan, spectrum, filter_spectra), expected_split)
         contiguous = np.ascontiguousarray(expected)
-        assert np.array_equal(split_dual_real(plan, contiguous), expected_split)
+        assert np.array_equal(split_dual_real(plan, contiguous, filter_spectra), expected_split)
 
 
 def test_split_chunks_of_one_column_match_a_single_chunk(monkeypatch):
-    # A budget of c columns (56 * k * D bytes each) puts whole runs of width
-    # m <= c in one chunk and splits a wider run into pieces of c columns,
-    # whose frequency -f comes from another piece.  At k = 1 the pieces of
-    # one column end at f = 1 and f = n - 1.  Every chunking must give the
-    # one-chunk result bit for bit, except chunks of one element (k = D = 1,
-    # one column): numpy's in-place complex multiply rounds a one-element
-    # array differently, by an ulp, from a longer one.
+    # A budget of c columns (_SPLIT_CELL_BYTES * k * ceil(D/2) bytes each)
+    # puts whole runs of width m <= c in one chunk and splits a wider run
+    # into pieces of c columns, whose frequency -f comes from another piece.
+    # At k = 1 the pieces of one column end at f = 1 and f = n - 1.  The
+    # spectra carry ceil(D/2) paired channels: one for D = 1 and 2, three
+    # for D = 5, and two.  Every chunking must give the one-chunk result bit
+    # for bit, chunks of one element (k = 1, one paired channel, one column)
+    # included.  numpy rounds a one-element complex multiply by an ulp
+    # differently from a longer one when it runs in place or broadcasts
+    # operands of unequal rank, so the split does neither.
     rng = np.random.default_rng(17)
     layouts = (([7, 40, 1, 19, 90], 8, 4), ([9, 30, 1, 1, 17], 4, 1), ([64], 16, 4), ([1, 1, 1], 1, 2))
     for lengths, filter_len, k in layouts:
         plan = build_plan(lengths, filter_len=filter_len, k=k)
         widths = sorted({g.width for g in plan.groups})
-        for channels in (1, 2, 5):
-            shape = (plan.layout.total_cols, plan.k, channels)
+        for pairs in (1, 3, 2):
+            shape = (plan.layout.total_cols, plan.k, pairs)
             spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            filter_spectra = _random_filter_spectra(rng, plan, pairs)
             monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", 1 << 40)
-            whole = split_dual_real(plan, spectrum)
-            column = 56 * k * channels
+            whole = split_dual_real(plan, spectrum, filter_spectra)
+            column = rubiconv.transform._SPLIT_CELL_BYTES * k * pairs
             budgets = {1, 2, 3, *widths, 2 * widths[-1], widths[-1] - 1} - {0}
-            for cols in sorted(budgets - {1} if k * channels == 1 else budgets):
+            for cols in sorted(budgets):
                 monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", max(1, cols * column))
-                assert np.array_equal(split_dual_real(plan, spectrum), whole), (lengths, channels, cols)
+                got = split_dual_real(plan, spectrum, filter_spectra)
+                assert np.array_equal(got, whole), (lengths, pairs, cols)
 
 
 def test_split_rejects_a_spectrum_of_another_shape():
     plan = build_plan([7, 40, 1], filter_len=8, k=4)
     m_total, k = plan.layout.total_cols, plan.k
+    widths = sum(g.width for g in plan.groups)
+    filter_spectra = np.zeros((widths, k, 2), dtype=complex)
     for shape in ((m_total + 1, k, 2), (m_total, 2 * k, 2), (m_total - 1, k, 2), (m_total, k)):
         with pytest.raises(ValueError, match=rf"spectrum shape \({shape[0]}, .* does not match \({m_total}, {k}\)$"):
-            split_dual_real(plan, np.zeros(shape, dtype=complex))
+            split_dual_real(plan, np.zeros(shape, dtype=complex), filter_spectra)
+    spectrum = np.zeros((m_total, k, 2), dtype=complex)
+    for shape in ((widths + 1, k, 2), (widths, 2 * k, 2), (widths, k, 1), (widths, k, 3), (widths, k)):
+        with pytest.raises(ValueError, match=rf"filter spectra shape .* does not match \({widths}, {k}, 2\)$"):
+            split_dual_real(plan, spectrum, np.zeros(shape, dtype=complex))
 
 
 @pytest.mark.parametrize(
@@ -586,6 +624,51 @@ def test_fused_matches_unfused_reference_path():
         fused = convolve(plan, sig, bank, fused=True)
         unfused = convolve(plan, sig, bank, fused=False)
         assert rel_err(fused.values, unfused.values) <= 1e-10
+
+
+# Documents of one width group share one filter spectrum with the group's
+# longest document's min(L_F, L_i) taps (the shared documents' indices
+# last): a document shorter than L_F next to one at least as long, all
+# shorter than L_F, and a one-tap filter.
+SHARED_GROUP_CASES = {
+    "shorter-and-longer-than-the-filter": ([9, 12, 3, 10], 10, 8, [0, 1, 3]),
+    "all-shorter-than-the-filter": ([12, 9, 11], 50, 8, [0, 1, 2]),
+    "one-tap-filter": ([9, 16, 13], 1, 8, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", SHARED_GROUP_CASES.values(), ids=SHARED_GROUP_CASES.keys())
+def test_documents_of_one_width_group_share_its_filter(case, channels):
+    lengths, filter_len, k, shared = case
+    plan = build_plan(lengths, filter_len, k)
+    (group,) = [g for g in plan.groups if g.width == plan.layout.cols_per_doc[shared[0]]]
+    assert group.n_docs == len(shared) and {plan.layout.cols_per_doc[i] for i in shared} == {group.width}
+    assert group.longest == max(lengths[i] for i in shared)
+    rng = np.random.default_rng(len(lengths) * channels + filter_len)
+    sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
+    bank = FilterBank(rng.standard_normal((filter_len, channels)))
+    fused = convolve(plan, sig, bank)
+    expected = oracle_matrix(lengths, sig.valid_values(), bank.taps)
+    assert rel_err(fused.valid_values(), expected) <= 1e-12
+    assert rel_err(fused.values, convolve(plan, sig, bank, fused=False).values) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_tap_reaches_every_document_of_the_groups_whose_filter_holds_it():
+    # Tap 9 is past document 0's length 9 but inside its group's 10 taps;
+    # document 2's group keeps 3 taps.
+    lengths, filter_len, k, shared = SHARED_GROUP_CASES["shorter-and-longer-than-the-filter"]
+    plan = build_plan(lengths, filter_len, k)
+    rng = np.random.default_rng(41)
+    sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, 2))
+    taps = rng.standard_normal((filter_len, 2))
+    taps[9] = np.nan
+    docs = convolve(plan, sig, FilterBank(taps)).documents()
+    assert all(not np.isfinite(docs[i]).all() for i in shared)
+    assert np.isfinite(docs[2]).all()
+    unfused = convolve(plan, sig, FilterBank(taps), fused=False).documents()
+    assert np.isfinite(unfused[0]).all()
 
 
 def test_pipeline_entry_points_take_no_gemm_mode():
