@@ -23,8 +23,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import counting
-from .packing import _causal_spans, _doc_index, _span_scale
-from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
+from .packing import _causal_spans, _doc_index
+from .signal import FilterBank, PackedSignal, _conj_inverse, _two_transform_convolve
 
 
 @dataclass(frozen=True)
@@ -159,25 +159,15 @@ def masked_fft(y: np.ndarray, layout: CtLayout) -> np.ndarray:
 
 def ct_inverse(y: np.ndarray, layout: CtLayout) -> np.ndarray:
     """Inverse packed transform: conj(masked_fft(conj(y))) / span_length."""
-    out = np.conj(masked_fft(np.conj(np.asarray(y, dtype=np.complex128)), layout))
-    counting.add_real_muls(2 * out.size)
-    return out * _span_scale(layout).reshape((-1,) + (1,) * (out.ndim - 1))
+    return _conj_inverse(layout, y, lambda v: masked_fft(v, layout))
 
 
 def ct_convolve(x: PackedSignal, bank: FilterBank, layout: CtLayout) -> PackedSignal:
     """Depthwise causal convolution through the packed radix-2 transform.
 
     Same contract as the grid pipeline: per document and channel, the causal
-    linear convolution truncated to the original length, zero tails.
+    linear convolution truncated to the original length, zero tails: the
+    two-transform convolution (``signal._two_transform_convolve``) on
+    ``masked_fft``, over all channels.
     """
-    _check_convolution_args(layout, x, bank)
-
-    x_hat = masked_fft(x.values.astype(np.complex128), layout)
-    f_hat = masked_fft(embed_filter(layout, bank).astype(np.complex128), layout)
-    counting.add_complex_muls(x_hat.size, real_muls_each=4)
-    x_hat *= f_hat
-    del f_hat
-
-    inv = masked_fft(np.conj(x_hat, out=x_hat), layout)
-    counting.add_real_muls(inv.size)
-    return PackedSignal._from_output(inv.real * _span_scale(layout)[:, None], layout)
+    return _two_transform_convolve(layout, x, bank, lambda v: masked_fft(v, layout))

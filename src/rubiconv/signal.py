@@ -1,4 +1,4 @@
-"""Packed real signals and depthwise filter banks shared by all variants."""
+"""Packed real signals, filter banks and the two-transform convolution all variants share."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .packing import _span_positions
+from . import counting
+from .packing import _span_positions, _span_scale
 
 
 def _as_channels(values: np.ndarray) -> np.ndarray:
@@ -155,3 +156,30 @@ def embed_filter(layout, bank: FilterBank) -> np.ndarray:
         n_taps = min(bank.filter_len, length)
         out[off : off + n_taps] = bank.taps[:n_taps]
     return out
+
+
+def _conj_inverse(layout, y: np.ndarray, transform) -> np.ndarray:
+    """Invert a packed transform through conjugation: conj(transform(conj(y))) / span_length."""
+    out = np.conj(transform(np.conj(np.asarray(y, dtype=np.complex128))))
+    counting.add_real_muls(2 * out.size)
+    out *= _span_scale(layout).reshape((-1,) + (1,) * (out.ndim - 1))
+    return out
+
+
+def _two_transform_convolve(layout, x: PackedSignal, bank: FilterBank, transform) -> PackedSignal:
+    """Depthwise causal convolution as three packed transforms over all channels.
+
+    ``transform`` is a per-document padded-length DFT of a packed complex
+    (total_padded, D) array.  The batch and ``embed_filter``'s filter are
+    transformed and multiplied, and the outputs, being real, are the real
+    part of transform(conj(product)) / span_length.
+    """
+    _check_convolution_args(layout, x, bank)
+    x_hat = transform(x.values.astype(np.complex128))
+    f_hat = transform(embed_filter(layout, bank).astype(np.complex128))
+    counting.add_complex_muls(x_hat.size, real_muls_each=4)
+    x_hat *= f_hat
+    del f_hat
+    inv = transform(np.conj(x_hat, out=x_hat))
+    counting.add_real_muls(inv.size)
+    return PackedSignal._from_output(inv.real * _span_scale(layout)[:, None], layout)

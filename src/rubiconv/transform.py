@@ -67,17 +67,17 @@ forward and one inverse, so they share their roundoff, and a NaN or inf in chann
 reach channel 2j + 1 (and back), but only within the same document: no
 stage mixes documents.
 
-Inside ``convolve`` only, both transforms skip the causal padding, per
-width group w of c_w columns (``packing.WidthGroup``).  The input is zero
-at and past each document's length L_i, and a row-major load puts
-positions t < L_i in rows r < ceil(L_i / m_i), so the forward's k-point
-stage contracts over the group's first r_w = max ceil(L_i / m_i) rows only.
-Only times t < L_i are kept, and the inverse's output cell (a, b) holds
-time b * k + a, so its block stage computes only the first
+Inside the fused ``convolve`` only, both transforms skip the causal
+padding, per width group w of c_w columns (``packing.WidthGroup``).  The
+input is zero at and past each document's length L_i, and a row-major
+load puts positions t < L_i in rows r < ceil(L_i / m_i), so the forward's
+k-point stage contracts over the group's first r_w = max ceil(L_i / m_i)
+rows only.  Only times t < L_i are kept, and the inverse's output cell
+(a, b) holds time b * k + a, so its block stage computes only the first
 b_w = max ceil(L_i / k) columns of each block and writes zeros into the
-rest.  ``forward``, ``inverse`` and a default ``transform_grid`` call run
-the full transform, k^2 m_total + k * sum(m_i^2) + k m_total complex
-multiplications per channel.
+rest.  ``forward``, ``inverse``, the unfused ``convolve`` and a default
+``transform_grid`` call run the full transform, k^2 m_total +
+k * sum(m_i^2) + k m_total complex multiplications per channel.
 
 Those pruned calls also factor the k-point stage, as Bailey's six-step
 FFT does, where k = k1 * k2 and k1, the largest divisor of k not above
@@ -130,7 +130,6 @@ from .packing import (
     IndexMap,
     PackedLayout,
     WidthGroup,
-    _span_scale,
     build_layout,
     build_p1,
     build_p2,
@@ -138,6 +137,7 @@ from .packing import (
     width_groups,
 )
 from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
+from .signal import _conj_inverse, _two_transform_convolve
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,10 +471,7 @@ def forward(plan: RubiConvPlan, x: np.ndarray) -> np.ndarray:
 
 def inverse(plan: RubiConvPlan, y: np.ndarray) -> np.ndarray:
     """Invert ``forward`` through conjugation: ifft(y) = conj(fft(conj(y))) / L_i'."""
-    out = np.conj(forward(plan, np.conj(y)))
-    counting.add_real_muls(2 * out.size)
-    out *= _span_scale(plan.layout).reshape((-1,) + (1,) * (out.ndim - 1))
-    return out
+    return _conj_inverse(plan.layout, y, lambda v: forward(plan, v))
 
 
 def convolve(
@@ -484,51 +481,36 @@ def convolve(
 
     With ``fused=True`` (default) the forward transforms adjacent channels
     of the batch as one complex channel, over ceil(D/2) channels, and the
-    filter once per width group, paired the same way; ``fused=False``
-    keeps a two-transform reference path whose spectra come straight from
-    separate forward passes over all D channels, with one filter copy per
-    document.  Both run the same paired inverse, which takes adjacent
-    channels through one complex transform, and both skip the causal
-    padding inside their GEMMs (see the module notes).  Both produce the
-    causal linear convolution truncated to each document's original length,
+    filter once per width group, paired the same way, and one paired
+    inverse follows; both skip the causal padding inside their GEMMs (see
+    the module notes).  ``fused=False`` is the two-transform reference
+    (``signal._two_transform_convolve``) on the plain ``forward``, over all
+    D channels with one filter copy per document.  Both produce the causal
+    linear convolution truncated to each document's original length,
     re-embedded in the padded buffer with zero tails.
     """
+    if not fused:
+        return _two_transform_convolve(plan.layout, x, bank, lambda v: forward(plan, v))
     _check_convolution_args(plan.layout, x, bank)
 
     # Each intermediate is dropped once the next stage holds its result, to
     # keep peak memory down.  Both inputs are zero at and past each
     # document's length (PackedSignal checks the tails, embed_filter keeps
     # at most L_i taps), so the forward skips the grid rows past them.
-    if fused:
-        # Every document of a width group shares L' = k * m, so the filter
-        # with the group's longest document's min(L_F, L_i) taps serves
-        # them all (see the module notes).  It is laid out on a layout of
-        # those longest documents, one per group, where build_layout gives
-        # each its group's width.
-        longest = [group.longest for group in plan.groups]
-        taps = embed_filter(build_layout(longest, plan.layout.filter_len, plan.k), bank)
-        filter_spectra = _filter_spectra(plan, _as_complex_pairs(taps))
-        del taps
-        grid = plan.p1.apply(_as_complex_pairs(x.values))
-        spectrum = transform_grid(plan, grid, skip_zero_rows=True)
-        del grid
-        paired = split_dual_real(plan, spectrum, filter_spectra)
-        del spectrum, filter_spectra
-    else:
-        taps_grid = embed_filter(plan.layout, bank)
-        grid = plan.p1.apply(x.values.astype(np.complex128))
-        batch_hat = transform_grid(plan, grid, skip_zero_rows=True)
-        del grid
-        grid = plan.p1.apply(taps_grid.astype(np.complex128))
-        del taps_grid
-        filter_hat = transform_grid(plan, grid, skip_zero_rows=True)
-        del grid
-        counting.add_complex_muls(batch_hat.size, real_muls_each=4)
-        product = np.multiply(batch_hat, filter_hat, out=batch_hat)
-        del batch_hat, filter_hat
-        paired = np.empty(product.shape[:2] + ((x.channels + 1) // 2,), dtype=np.complex128)
-        _pair_channels(product, paired)
-        del product
+    # Every document of a width group shares L' = k * m, so the filter
+    # with the group's longest document's min(L_F, L_i) taps serves them
+    # all (see the module notes).  It is laid out on a layout of those
+    # longest documents, one per group, where build_layout gives each its
+    # group's width.
+    longest = [group.longest for group in plan.groups]
+    taps = embed_filter(build_layout(longest, plan.layout.filter_len, plan.k), bank)
+    filter_spectra = _filter_spectra(plan, _as_complex_pairs(taps))
+    del taps
+    grid = plan.p1.apply(_as_complex_pairs(x.values))
+    spectrum = transform_grid(plan, grid, skip_zero_rows=True)
+    del grid
+    paired = split_dual_real(plan, spectrum, filter_spectra)
+    del spectrum, filter_spectra
     # Only times t < L_i are kept, so the inverse skips the columns past them.
     grid = plan.pre_ifft.apply(paired)
     del paired
@@ -545,26 +527,6 @@ def convolve(
     values = plan.p2.apply(time_cells[..., : x.channels])
     del time_cells
     return PackedSignal._from_output(values, plan.layout)
-
-
-def _pair_channels(product: np.ndarray, out: np.ndarray) -> None:
-    """Write the inverse input conj(P_a) + i*conj(P_b), channels a = 2j, b = 2j + 1.
-
-    That is (a_r + b_i) + i*(b_r - a_i), built from the float64 view of the
-    C-contiguous, cell-major product; an odd last channel is paired with
-    zero, giving conj(P_a).  ``out`` is a C-contiguous array of the
-    product's cells with ceil(D/2) channels.
-    """
-    channels = product.shape[-1]
-    pairs = channels // 2
-    parts = product.view(np.float64).reshape(-1, channels, 2)
-    a, b = parts[:, 0 : 2 * pairs : 2], parts[:, 1 : 2 * pairs : 2]
-    q = out.view(np.float64).reshape(-1, channels - pairs, 2)
-    np.add(a[..., 0], b[..., 1], out=q[:, :pairs, 0])
-    np.subtract(b[..., 0], a[..., 1], out=q[:, :pairs, 1])
-    if channels % 2:
-        q[:, pairs, 0] = parts[:, -1, 0]
-        np.negative(parts[:, -1, 1], out=q[:, pairs, 1])
 
 
 def _as_complex_pairs(values: np.ndarray) -> np.ndarray:
