@@ -44,13 +44,14 @@ kept output.  Each group's filter is laid out as one document of that
 group, its longest, so its span read as (k, m, ceil(D/2)) is its own grid
 and runs through the same stage code as the data.  The split recovers
 both channels of both spectra through conjugate symmetry, multiplies each
-channel by its group's filter spectrum and writes the paired inverse
-input; it runs per chunk of grid columns small enough to stay in a core's
-private cache, so the forward half holds at most two half-width complex
-arrays: the loaded grid and the spectrum during the forward, the spectrum
-and the inverse input after it.  The spectra are reordered for the
-inverse, which reuses the forward kernel via
-ifft(x) = conj(fft(conj(x))) / n.  Zeroing each document's tail past its
+channel by its group's filter spectrum over L' and writes the paired
+inverse input; it runs per chunk of grid columns small enough to stay in
+a core's private cache, so the forward half holds at most two half-width
+complex arrays: the loaded grid and the spectrum during the forward, the
+spectrum and the inverse input after it.  The spectra are reordered for
+the inverse, which reuses the forward kernel via
+ifft(x) = conj(fft(conj(x))) / n, the split having applied the 1/n, so no
+pass over the output follows.  Zeroing each document's tail past its
 original length at the end removes the padding and leaves a strictly
 causal, boundary-respecting result.  A document's output depends on its
 own input and its group's filter only, so documents stay independent; a
@@ -59,9 +60,10 @@ document shorter than the tap's index would have dropped it.
 
 The inverse uses the outputs' realness too.  Each channel's product
 spectrum P is Hermitian within every document, so for adjacent channels
-a = 2j and b = 2j + 1 the forward kernel applied to conj(P_a) + i*conj(P_b)
-returns L_i' * (y_a + i*y_b): one complex inverse over ceil(D/2) channels
-yields all D real outputs, already in channel order when viewed as float64.
+a = 2j and b = 2j + 1 the forward kernel applied to
+(conj(P_a) + i*conj(P_b)) / L_i' returns y_a + i*y_b: one complex inverse
+over ceil(D/2) channels yields all D real outputs, already in channel
+order when viewed as float64.
 An odd D pairs its last channel with zero.  Paired channels share one
 forward and one inverse, so they share their roundoff, and a NaN or inf in channel 2j can
 reach channel 2j + 1 (and back), but only within the same document: no
@@ -79,20 +81,21 @@ rest.  ``forward``, ``inverse``, the unfused ``convolve`` and a default
 ``transform_grid`` call run the full transform, k^2 m_total +
 k * sum(m_i^2) + k m_total complex multiplications per channel.
 
-Those pruned calls also factor the k-point stage, as Bailey's six-step
-FFT does, where k = k1 * k2 and k1, the largest divisor of k not above
-sqrt(k), is at least 16 (k = 256 = 16 * 16 and 512 = 16 * 32 factor,
-k = 64 does not).  With input row a = n1 * k2 + n2, a k1-point GEMM per
-n2, with the inner twiddle folded in, runs over the n1 blocks that hold
-the rows read, then one k2-point GEMM completes the stage; both matrices
-are strided views of M1, and the passes run per chunk like the other
-stages.  They factor each width group's block stage the same way, where
-m = p * q and p, the largest divisor of m not above sqrt(m), is at least
-8 (m = 64 = 8 * 8 and 128 = 8 * 16 factor, m = 60 does not).  With input
-column n = n1 * q + n2 and output column b = b1 + p * b2, a p-point GEMM
-per n2, with the inner twiddle folded in, runs over n1, then per b1 one
-q-point GEMM computes the rows b2 < ceil(keep / p) that cover the kept
-columns; both matrices are strided views of the group's DFT matrix.
+Those pruned calls also factor both DFT stages, as Bailey's six-step FFT
+does, and both take one shape.  An n-point stage, n = n1 * n2, reading
+input j = j1 * n2 + j2, runs a first pass, an n1-point GEMM over j1 per
+j2 with the inner twiddle folded in, then a second pass of n2-point GEMMs
+over j2; one GEMM is the second pass at n1 = 1, with no first.  Both
+matrices are strided views of the stage's DFT matrix, and the passes run
+per chunk.  The k-point stage factors k = k1 * k2 where k1, the largest
+divisor of k not above sqrt(k), is at least 16 (k = 256 = 16 * 16 and
+512 = 16 * 32 factor, k = 64 does not); its first pass reads only the n1
+blocks that hold the rows read, and one k2-point GEMM is its second.
+Each width group's block stage factors m = p * q where p, the largest
+divisor of m not above sqrt(m), is at least 8 (m = 64 = 8 * 8 and
+128 = 8 * 16 factor, m = 60 does not); with output column
+b = b1 + p * b2, its second pass runs per b1 one q-point GEMM over the
+rows b2 < ceil(keep / p) that cover the kept columns.
 An n-point stage that reads a vector's first r inputs and keeps its first
 c outputs costs r * c multiplications in one GEMM and
 n1 * r + n * ceil(c / n1) in two passes, n = n1 * n2, and each group
@@ -212,10 +215,10 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
 def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     """Complex multiplications one fused ``convolve`` call counts (see the module notes)."""
     k, m_total = layout.k, layout.total_cols
-    k1 = _k_factors(k)[0]
+    k1 = _factors(k, _MIN_FACTOR)[0]
     forward = inverse = k * m_total  # the twiddles
     for g in width_groups(layout):
-        m, cols, p = g.width, g.width * g.n_docs, _m_factors(g.width)[0]
+        m, cols, p = g.width, g.width * g.n_docs, _factors(g.width, _MIN_BLOCK_FACTOR)[0]
         taps = -(-min(layout.filter_len, g.longest) // m)  # the group filter's live rows
         forward += cols * _dft_cmuls(k, k1, g.live_rows, k) + g.n_docs * k * _dft_cmuls(m, p, m, m)
         forward += m * _dft_cmuls(k, k1, taps, k) + k * m + k * _dft_cmuls(m, p, m, m) + 2 * k * m
@@ -256,9 +259,9 @@ def transform_grid(
     the block stage then computes only the group's ``live_cols`` output
     columns and writes zeros into the rest.  Without them the transform is
     the full padded-length DFT.  With either, the k-point stage and each
-    group's block stage run as two GEMM passes where ``_k_factors`` and
-    ``_m_factors`` split k and the group's width, and that counts fewer
-    multiplications (``_dft_cmuls``).
+    group's block stage run as two GEMM passes where ``_factors`` splits k
+    and the group's width (at ``_MIN_FACTOR`` and ``_MIN_BLOCK_FACTOR``),
+    and that counts fewer multiplications (``_dft_cmuls``).
     """
     grid = np.asarray(grid, dtype=np.complex128)
     layout = plan.layout
@@ -299,37 +302,31 @@ def _group_stages(
     """
     # The group walks its columns in chunks of whole documents (see
     # ``_CHUNKS``), running the three stages per chunk.
-    # M1 is symmetric, so cells @ M1 is M1 @ grid, written column-major;
-    # pruned, a group contracts over its live rows only.  Where that costs
-    # fewer multiplications, the k-point stage runs as two GEMM passes and
-    # leaves each cell's frequencies f = f1 + k1 * f2 in (f1, f2) order;
-    # one GEMM is f1 = 1, where the two orders agree.  The twiddle is
-    # applied in place through a strided view of the table in that order.
-    # The block stage, in one GEMM or, pruned and where that costs fewer
-    # multiplications, in two passes, writes into ``scratch`` (and
-    # ``part``), and its result goes back, in natural order, into the
-    # memory the chunk held in ``work``, with channels last, so that a
-    # cell's channels are contiguous for the stages that follow.
+    # Both DFT stages take one shape: an optional first pass, taken pruned
+    # where it costs fewer multiplications, then a second, one GEMM at
+    # k1 = 1 or p = 1.  M1 is symmetric, so cells @ M1 is M1 @ grid, written
+    # column-major; pruned, a group contracts over its live rows only.  The
+    # k-point stage leaves each cell's frequencies f = f1 + k1 * f2 in
+    # (f1, f2) order, and the twiddle is applied in place through a strided
+    # view of the table in that order.  The block stage writes into
+    # ``scratch`` (and ``part``), and its result goes back, in natural
+    # order, into the memory the chunk held in ``work``, with channels last,
+    # so that a cell's channels are contiguous for the stages that follow.
     k, width = plan.k, work.shape[1]
     m_i, twiddle, dft = plan.groups[index].width, plan.twiddles[index], plan.m2[index]
-    cells = rows.T
     counting.add_complex_muls((cols.stop - cols.start) * width * k, real_muls_each=4)  # the twiddles
-    k1 = _k_factors(k)[0] if pruned else 1
-    f1 = k1 if _dft_cmuls(k, k1, live, k) < k * live else 1
-    f2 = k // f1
-    table = twiddle.reshape(m_i, f2, f1).transpose(0, 2, 1)[:, None]
-    p = _m_factors(m_i)[0] if pruned else 1
+    k1 = _factors(k, _MIN_FACTOR)[0] if pruned else 1
+    k1 = k1 if _dft_cmuls(k, k1, live, k) < k * live else 1
+    table = twiddle.reshape(m_i, k // k1, k1).transpose(0, 2, 1)[:, None]
+    p = _factors(m_i, _MIN_BLOCK_FACTOR)[0] if pruned else 1
     p = p if _dft_cmuls(m_i, p, m_i, keep) < m_i * keep else 1
     step = scratch.size // (width * k) // m_i * m_i
     part = np.empty(step // p * width * k, dtype=np.complex128) if p > 1 else scratch
     for lo in range(cols.start, cols.stop, step):
         hi = min(lo + step, cols.stop)
-        stack, n_docs, span = work[lo:hi], (hi - lo) // m_i, slice(lo * width, hi * width)
-        if f1 == 1:
-            gemm(cells[span, :live], plan.m1[:live], out=stack.reshape(-1, k))
-        else:
-            _two_pass_k_stage(plan.m1, rows[:, span], stack, live, k1, scratch)
-        docs = stack.reshape(n_docs, m_i, width, f1, f2)
+        stack, n_docs = work[lo:hi], (hi - lo) // m_i
+        _k_stage(plan.m1, rows[:, lo * width : hi * width], stack, live, k1, scratch)
+        docs = stack.reshape(n_docs, m_i, width, k1, k // k1)
         docs *= table
         _block_stage(dft, docs, keep, p, scratch, part)
 
@@ -363,16 +360,6 @@ def _factors(n: int, least: int) -> tuple[int, int]:
     return (n1, n // n1) if n1 >= least else (1, n)
 
 
-def _k_factors(k: int) -> tuple[int, int]:
-    """(k1, k2) of the pruned two-pass k-point stage, or (1, k) for one GEMM."""
-    return _factors(k, _MIN_FACTOR)
-
-
-def _m_factors(m: int) -> tuple[int, int]:
-    """(p, q) of the pruned two-pass block stage of width m, or (1, m) for one GEMM."""
-    return _factors(m, _MIN_BLOCK_FACTOR)
-
-
 def _dft_cmuls(n: int, n1: int, rows: int, keep: int) -> int:
     """Complex multiplications of an n-point DFT stage per vector, the cheaper way.
 
@@ -386,36 +373,35 @@ def _dft_cmuls(n: int, n1: int, rows: int, keep: int) -> int:
     return min(rows * keep, n1 * rows + n * -(-keep // n1))
 
 
-def _two_pass_k_stage(
-    m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: int, scratch: np.ndarray
-) -> None:
-    """k-point DFT of a chunk of grid columns, in two GEMM passes.
+def _k_stage(m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: int, scratch: np.ndarray) -> None:
+    """k-point DFT of a chunk of grid columns over its first ``live`` rows.
 
     ``x`` is the chunk's (k, columns * D) slice of the loaded grid, and
     ``cells`` its (columns, D, k) memory in ``work``, which receives each
-    cell's frequencies f = f1 + k1 * f2 in (f1, f2) order.  With input row
-    a = n1 * k2 + n2, w_k^(f a) = w_k^(f1 (n1 k2 + n2)) * w_k2^(f2 n2).
-    The first pass runs, per n2, the k1-point DFT over n1 with the inner
-    twiddle w_k^(f1 n2) folded in, into ``scratch``; the second runs the
-    k2-point DFT over n2 as one GEMM.  Both matrices are strided views of
-    M1.  The first pass reads only rows a < ``live``: the last n1 block,
-    which holds rows past them, is read only for n2 < ``rem``.
+    cell's frequencies f = f1 + k1 * f2 in (f1, f2) order.  With k = k1 * k2
+    and input row a = n1 * k2 + n2, w_k^(f a) = w_k^(f1 (n1 k2 + n2)) *
+    w_k2^(f2 n2).  For k1 > 1 the first pass runs, per n2, the k1-point DFT
+    over the n1 blocks that hold live rows, with the inner twiddle
+    w_k^(f1 n2) folded in, into ``scratch``; the last block is read only
+    for n2 < ``rem``, and two passes are chosen only where live > k2, so
+    every n2 reads a block.  The second runs the k2-point DFT over n2 as
+    one GEMM.  Both matrices are strided views of M1, and one GEMM over
+    the live rows is the second pass at k1 = 1.
     """
     k = cells.shape[-1]
     k2, n = k // k1, x.shape[1]
-    n1 = -(-live // k2)  # n1 blocks holding live rows
-    rem = live - (n1 - 1) * k2  # live rows of the last one
-    x = x.reshape(k1, k2, n)  # [n1, n2, r]
-    y = scratch[: k * n].reshape(k2, n, k1)  # [n2, r, f1]
-    for n2 in range(k2):
-        blocks = n1 if n2 < rem else n1 - 1
-        if blocks:
+    if k1 > 1:
+        n1 = -(-live // k2)  # n1 blocks holding live rows
+        rem = live - (n1 - 1) * k2  # live rows of the last one
+        x = x.reshape(k1, k2, n)  # [n1, n2, r]
+        y = scratch[: k * n].reshape(k2, n, k1)  # [n2, r, f1]
+        for n2 in range(k2):
+            blocks = n1 if n2 < rem else n1 - 1
             # [n1, f1] = w_k^((n1 k2 + n2) f1)
             gemm(x[:blocks, n2].T, m1[n2 : blocks * k2 : k2, :k1], out=y[n2])
-        else:
-            y[n2] = 0
+        x, live = y.reshape(k2, n * k1), k2
     # [n2, f2] = w_k^(n2 k1 f2) = w_k2^(n2 f2)
-    gemm(y.reshape(k2, n * k1).T, m1[::k1, :k2], out=cells.reshape(n * k1, k2))
+    gemm(x[:live].T, m1[: live * k1 : k1, :k2], out=cells.reshape(-1, k2))
 
 
 def _block_stage(
@@ -514,14 +500,10 @@ def convolve(
     # Only times t < L_i are kept, so the inverse skips the columns past them.
     grid = plan.pre_ifft.apply(paired)
     del paired
-    # The inverse gives L_i' * (y_a + i*y_b): its float64 view holds the real
-    # outputs in channel order, and is scaled in place.
+    # The split's factors carry each group's 1 / L', so the inverse gives
+    # y_a + i*y_b: its float64 view holds the real outputs in channel order.
     time_cells = transform_grid(plan, grid, skip_unread_cols=True).view(np.float64)
     del grid
-    counting.add_real_muls(time_cells.size)
-    for group in plan.groups:
-        docs = time_cells[group.cols]
-        docs *= 1.0 / (plan.k * group.width)
 
     # An odd D drops its zero partner; the sliced view unloads without a copy.
     values = plan.p2.apply(time_cells[..., : x.channels])
@@ -583,10 +565,11 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np
     for the filter, one block of m columns per width group
     (``_filter_spectra``).  Conjugate symmetry gives X_a = (z + r) / 2 and
     X_b = -i/2 * (z - r), r being conj(z at -freq), and likewise F_a and
-    F_b, and the inverse's input is conj(X_a F_a) + i * conj(X_b F_b).
+    F_b, and the inverse's input is (conj(X_a F_a) + i * conj(X_b F_b)) / n,
+    which carries the inverse's 1/n for the group's L' = n = k * m_i.
     Expanded, that is conj(z) * A + conj(r) * B with the group's
-    A = conj(F_a - F_b) / 2 and B = conj(F_a + F_b) / 2, broadcast over
-    its documents.  Each document's spectrum is one run of n = k * m_i
+    A = conj(F_a - F_b) / (2n) and B = conj(F_a + F_b) / (2n), broadcast
+    over its documents.  Each document's spectrum is one run of n
     frequencies in natural order, so conj(r[f]) = run[(-f) mod n] is the
     run read backwards from its end, after its first element: a reversed
     view.  All of it runs per chunk of grid columns sized to
@@ -643,8 +626,8 @@ def _group_filter(run: np.ndarray, lo: int, hi: int, a: np.ndarray, b: np.ndarra
 
     With u = conj(z) and v = z at -freq, read as the split reads the data,
     conj(F_a) = (u + v) / 2 and conj(F_b) = i/2 * (u - v), so
-    A = conj(F_a - F_b) / 2 = s + d and B = conj(F_a + F_b) / 2 = s - d
-    for s = (u + v) / 4 and d = i/4 * (v - u).  ``run`` is (1, n, D),
+    A = conj(F_a - F_b) / (2n) = s + d and B = conj(F_a + F_b) / (2n) = s - d
+    for s = (u + v) / (4n) and d = i/(4n) * (v - u).  ``run`` is (1, n, D),
     and conj(A) and B go into ``a`` and ``b``, (1, hi - lo, D) like the
     temporary ``t``.
     """
@@ -656,8 +639,8 @@ def _group_filter(run: np.ndarray, lo: int, hi: int, a: np.ndarray, b: np.ndarra
     b[:, f - lo :] = run[:, n - f : n - hi : -1]
     np.add(t, b, out=a)
     b -= t
-    np.multiply(a, 0.25, out=t)
-    np.multiply(b, 0.25j, out=a)
+    np.multiply(a, 0.25 / n, out=t)
+    np.multiply(b, 0.25j / n, out=a)
     np.subtract(t, a, out=b)
     a += t
     np.conjugate(a, out=a)

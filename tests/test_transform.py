@@ -25,9 +25,10 @@ from rubiconv import (
     naive_dft,
 )
 from rubiconv.transform import (
+    _MIN_BLOCK_FACTOR,
+    _MIN_FACTOR,
     _dft_cmuls,
-    _k_factors,
-    _m_factors,
+    _factors,
     split_dual_real,
     transform_grid,
 )
@@ -314,8 +315,8 @@ def _random_filter_spectra(rng, plan, pairs):
 
 def test_dual_real_recovery_matches_separate_transforms():
     # Each channel's spectrum, transformed on its own, times its group's
-    # filter spectrum, transformed on its own on the filter layout, then
-    # paired for the inverse.
+    # filter spectrum, transformed on its own on the filter layout, over the
+    # group's L' = k * m, then paired for the inverse.
     rng = np.random.default_rng(12)
     for _ in range(10):
         lengths = random_doc_lengths(rng, max_docs=6, max_len=48)
@@ -333,7 +334,7 @@ def test_dual_real_recovery_matches_separate_transforms():
         group_spectra = np.split(f_ref, np.cumsum([g.width for g in plan.groups])[:-1])
         for group, spectrum in zip(plan.groups, group_spectra):
             docs = product[group.cols].reshape(group.n_docs, group.width, plan.k, channels)
-            docs *= spectrum
+            docs *= spectrum / (plan.k * group.width)
         assert rel_err(paired, _paired_product(product)) <= 1e-10
 
 
@@ -450,7 +451,7 @@ def _check_chunk_bounds(plan, calls, k2):
     # The call bound and chunk width of ``rubiconv.transform._CHUNKS``'s notes.
     chunks = rubiconv.transform._CHUNKS
     chunk = max(plan.groups[-1].width, -(-plan.layout.total_cols // chunks))
-    block_calls = max(p + q if p > 1 else 1 for p, q in (_m_factors(g.width) for g in plan.groups))
+    block_calls = max(p + q if p > 1 else 1 for p, q in (_factors(g.width, _MIN_BLOCK_FACTOR) for g in plan.groups))
     assert len(calls) <= (k2 + 1 + block_calls) * (2 * chunks + len(plan.groups))
     blocks = [b for k_stage, b in calls if not k_stage]
     assert max(math.prod(b[:-1]) for b in blocks) <= chunk
@@ -513,7 +514,18 @@ def test_pruned_calls_factor_k_by_its_largest_divisor_up_to_its_root():
     factored = {256: (16, 16), 512: (16, 32), 1024: (32, 32), 323: (17, 19)}
     # 64 = 8 * 8 and 240 = 15 * 16 have k1 below 16; 257 is prime.
     for k in (1, 64, 240, 257, *factored):
-        assert _k_factors(k) == factored.get(k, (1, k)), k
+        assert _factors(k, _MIN_FACTOR) == factored.get(k, (1, k)), k
+
+
+def test_a_two_pass_k_stage_reads_a_block_for_every_n2():
+    # Two passes are chosen only where they cost fewer multiplications, and
+    # then live > k2, so the first pass reads at least one n1 block for
+    # every n2.  Checked for every factor k1 > 1, not only k1 >= _MIN_FACTOR.
+    for k in range(1, 1025):
+        k1, k2 = _factors(k, 1)
+        if k1 > 1:
+            for live in range(1, k + 1):
+                assert _dft_cmuls(k, k1, live, k) >= k * live or live > k2, (k, live)
 
 
 def test_two_pass_stage_takes_many_columns_per_chunk_and_only_where_it_saves(monkeypatch):
@@ -543,7 +555,7 @@ def test_pruned_calls_factor_m_by_its_largest_divisor_up_to_its_root():
     factored = {64: (8, 8), 120: (10, 12), 128: (8, 16), 1024: (32, 32)}
     # 60 = 6 * 10 has p below 8; 127 is prime.
     for m in (1, 60, 127, *factored):
-        assert _m_factors(m) == factored.get(m, (1, m)), m
+        assert _factors(m, _MIN_BLOCK_FACTOR) == factored.get(m, (1, m)), m
 
 
 def test_factoring_both_stages_cuts_the_long_document_count_below_six_tenths(monkeypatch):
@@ -566,7 +578,7 @@ def _factored_width_cases():
         half = m * k // 2
         plan = build_plan([half + 1, 3 * k], filter_len=half - 1, k=k)
         narrow, wide = plan.groups
-        p = _m_factors(m)[0]
+        p = _factors(m, _MIN_BLOCK_FACTOR)[0]
         assert wide.width == m and wide.live_cols == m // 2 + 1
         for keep in (m, wide.live_cols):
             assert _dft_cmuls(m, p, m, keep) < m * keep, (m, keep)
@@ -594,7 +606,7 @@ def test_two_pass_block_stage_gemm_calls_stay_within_the_chunk_bounds(monkeypatc
         calls = _recorded_gemm_calls(monkeypatch, plan)
         transform_grid(plan, grid, skip_unread_cols=True)
         monkeypatch.undo()
-        p, q = _m_factors(plan.groups[-1].width)
+        p, q = _factors(plan.groups[-1].width, _MIN_BLOCK_FACTOR)
         assert sum(b[-2] in (p, q) for is_k_stage, b in calls if not is_k_stage) == p + q
         _check_chunk_bounds(plan, calls, k2=1)
 
@@ -766,6 +778,24 @@ def test_packed_signal_rejects_nonzero_tail():
     values = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
     with pytest.raises(ValueError):
         PackedSignal(values, plan.layout)
+
+
+@pytest.mark.parametrize("k", [1, 4, 16, 256])
+@pytest.mark.parametrize("channels", [1, 2, 5])
+def test_convolve_counts_only_complex_products(k, channels):
+    # The split's group factors carry each group's 1 / L', so no real pass
+    # scales the inverse's output: 4 real multiplications per complex one.
+    # Widths of 3 and 5 columns make k * m no power of two for k > 1.
+    rng = np.random.default_rng(41)
+    lengths = [2 * k + 1, 4 * k, 3, 40 * k]
+    plan = build_plan(lengths, filter_len=k + 1, k=k)
+    assert any(k * g.width & (k * g.width - 1) for g in plan.groups)
+    sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
+    bank = FilterBank(rng.standard_normal((k + 1, channels)))
+    with count_ops() as counts:
+        convolve(plan, sig, bank)
+    assert counts.complex_muls == rubiconv.transform.convolve_cmuls(plan.layout, channels)
+    assert counts.real_muls == 4 * counts.complex_muls
 
 
 @pytest.mark.parametrize("channels", [1, 2, 3, 5])
