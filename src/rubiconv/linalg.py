@@ -35,13 +35,15 @@ def dft_matrix(j: int) -> np.ndarray:
     """Return the j x j DFT matrix with entry (l, m) = exp(2*pi*i*l*m/j).
 
     The exponent l*m is reduced mod j before evaluating exp so large
-    transforms do not lose phase accuracy.
+    transforms do not lose phase accuracy.  So the matrix holds only the j
+    distinct roots exp(2*pi*i*r/j): each is evaluated once and gathered by
+    r = l*m mod j, with the very values an elementwise exp would give.
     """
     j = _whole(j, "DFT size")
     if j < 1:
         raise ValueError(f"DFT size must be a positive integer, got {j}")
     lm = np.outer(np.arange(j, dtype=np.int64), np.arange(j, dtype=np.int64)) % j
-    return np.exp((2j * np.pi / j) * lm)
+    return np.exp((2j * np.pi / j) * np.arange(j))[lm]
 
 
 def gemm(

@@ -91,6 +91,11 @@ class PackedSignal:
         """
         for off, length, span in zip(layout.span_offsets, layout.doc_lengths, layout.span_lengths):
             values[off + length : off + span] = 0
+        return cls._trusted(values, layout)
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, layout) -> "PackedSignal":
+        """Wrap a (total_padded, channels) float64 array whose tails are already zero, unchecked."""
         signal = object.__new__(cls)
         object.__setattr__(signal, "values", values)
         object.__setattr__(signal, "layout", layout)
@@ -98,7 +103,11 @@ class PackedSignal:
 
     @classmethod
     def from_documents(cls, layout, docs: Sequence[np.ndarray]) -> "PackedSignal":
-        """Pack per-document value arrays ((L_i,) or (L_i, channels)) into one buffer."""
+        """Pack per-document value arrays ((L_i,) or (L_i, channels)) into one buffer.
+
+        Each document is checked for realness, count and shape; the tails
+        are never written after ``np.zeros``, so they are not re-checked.
+        """
         docs = [_as_channels(d) for d in docs]
         if len(docs) != len(layout.doc_lengths):
             raise ValueError(
@@ -113,7 +122,7 @@ class PackedSignal:
                     f"({length}, {channels})"
                 )
             values[off : off + length] = doc
-        return cls(values, layout)
+        return cls._trusted(values, layout)
 
     def documents(self) -> list[np.ndarray]:
         """Per-document views of the valid (unpadded) values."""

@@ -40,23 +40,34 @@ transformed once per width group, paired the same way: every document i
 of a group shares L' = k * m, and the filter with the group's
 n_w = max min(L_F, L_i) taps serves them all, since its taps cover each
 document's causal support and L_i + n_w - 1 <= L' never wraps one onto a
-kept output.  Each group's filter is laid out as one document of that
-group, its longest, so its span read as (k, m, ceil(D/2)) is its own grid
+kept output.  Each group's n_w taps are a prefix of the largest n_w, so
+the filter is laid out once, as those taps, and each group's filter is
+one document of that group, its longest: its n_w taps zero-padded to a
+span of k * m positions, which read as (k, m, ceil(D/2)) is its own grid
 and runs through the same stage code as the data.  The split recovers
 both channels of both spectra through conjugate symmetry, multiplies each
 channel by its group's filter spectrum over L' and writes the paired
-inverse input; it runs per chunk of grid columns small enough to stay in
-a core's private cache, so the forward half holds at most two half-width
-complex arrays: the loaded grid and the spectrum during the forward, the
-spectrum and the inverse input after it.  The spectra are reordered for
-the inverse, which reuses the forward kernel via
-ifft(x) = conj(fft(conj(x))) / n, the split having applied the 1/n, so no
-pass over the output follows.  Zeroing each document's tail past its
-original length at the end removes the padding and leaves a strictly
-causal, boundary-respecting result.  A document's output depends on its
-own input and its group's filter only, so documents stay independent; a
-non-finite tap below n_w reaches every document of the group, where a
-document shorter than the tap's index would have dropped it.
+inverse input over the spectrum.  Frequencies f and n - f of a run read
+each other, so it runs per chunk of whole runs, or of a piece of a run's
+lower half with the mirrors of that piece, small enough to stay in a
+core's private cache, and computes each chunk into buffers before writing
+it back.  The filters are transformed once the forward has returned and
+its loaded grid is dropped.  So besides one chunk of scratch and the
+filter's taps, ``convolve`` holds at most two half-width complex arrays
+at a time: the loaded grid and the spectrum during the forward, the
+spectrum and the inverse input around the reorder, that input and the
+inverse's output.  The group filters' spectra come on top of the
+spectrum alone, while they are transformed and during the split; they
+have one document's columns per width group, sum_w m_w of the m_total.
+The spectra are reordered for the inverse, which reuses the forward
+kernel via ifft(x) = conj(fft(conj(x))) / n, the split having applied
+the 1/n, so no pass over the output follows.  Zeroing each document's
+tail past its original length at the end removes the padding and leaves
+a strictly causal, boundary-respecting result.  A document's output
+depends on its own input and its group's filter only, so documents stay
+independent; a non-finite tap below n_w reaches every document of the
+group, where a document shorter than the tap's index would have dropped
+it.
 
 The inverse uses the outputs' realness too.  Each channel's product
 spectrum P is Hermitian within every document, so for adjacent channels
@@ -183,7 +194,7 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
     Each width group gets one twiddle table and one DFT matrix, shared by
     all of its documents.  Constructed element counts are reported to the
     operation counter; the k x k first-stage matrix is excluded since it
-    depends only on k and is shared across all layouts.
+    depends only on k, although every plan builds its own.
     """
     layout = build_layout(doc_lengths, filter_len, k)
     groups = width_groups(layout)
@@ -479,22 +490,26 @@ def convolve(
         return _two_transform_convolve(plan.layout, x, bank, lambda v: forward(plan, v))
     _check_convolution_args(plan.layout, x, bank)
 
-    # Each intermediate is dropped once the next stage holds its result, to
-    # keep peak memory down.  Both inputs are zero at and past each
-    # document's length (PackedSignal checks the tails, embed_filter keeps
-    # at most L_i taps), so the forward skips the grid rows past them.
+    # Each intermediate is dropped once the next stage holds its result, so
+    # at most two grid-sized arrays are alive at a time (see the module
+    # notes).  Both inputs are zero at and past each document's length
+    # (PackedSignal checks the tails, and each group's filter holds at most
+    # its longest document's length in taps), so the forward skips the grid
+    # rows past them.
     # Every document of a width group shares L' = k * m, so the filter
-    # with the group's longest document's min(L_F, L_i) taps serves them
-    # all (see the module notes).  It is laid out on a layout of those
-    # longest documents, one per group, where build_layout gives each its
-    # group's width.
-    longest = [group.longest for group in plan.groups]
-    taps = embed_filter(build_layout(longest, plan.layout.filter_len, plan.k), bank)
-    filter_spectra = _filter_spectra(plan, _as_complex_pairs(taps))
-    del taps
+    # with the group's longest document's n_w = min(L_F, L_i) taps serves
+    # them all (see the module notes).  Each n_w taps are a prefix of the
+    # largest n_w, laid out first as one document of that length, which a
+    # one-tap filter at k = 1 leaves unpadded.  They are transformed only
+    # once the forward has returned and its loaded grid is gone, and the
+    # split then writes over the spectrum.
+    n_taps = min(plan.layout.filter_len, max(group.longest for group in plan.groups))
+    taps = embed_filter(build_layout([n_taps], filter_len=1, k=1), bank)
     grid = plan.p1.apply(_as_complex_pairs(x.values))
     spectrum = transform_grid(plan, grid, skip_zero_rows=True)
     del grid
+    filter_spectra = _filter_spectra(plan, _as_complex_pairs(taps))
+    del taps
     paired = split_dual_real(plan, spectrum, filter_spectra)
     del spectrum, filter_spectra
     # Only times t < L_i are kept, so the inverse skips the columns past them.
@@ -526,33 +541,39 @@ def _as_complex_pairs(values: np.ndarray) -> np.ndarray:
 def _filter_spectra(plan: RubiConvPlan, taps: np.ndarray) -> np.ndarray:
     """Transform each width group's filter, laid out as one document of that group.
 
-    ``taps`` holds the paired filter channels, one padded span of k * m
-    positions per group in group order.  A span read as (k, m, channels)
-    is its row-major grid, so it goes through the group's stages with no
-    gather, its live rows those of its taps.  Returns the cell-major
-    (sum of the widths, k, channels) spectra, one block of m columns per
-    group.
+    ``taps`` holds the paired filter channels' first taps, at least the
+    n_w = min(L_F, longest) of every group.  A group's filter is its n_w
+    taps zero-padded to a span of k * m positions, and that span read as
+    (k, m, channels) is its row-major grid, which goes through the group's
+    stages, its live rows those of its taps.  Only those rows are written,
+    in one buffer the groups share, since the stages read no row past them.
+    Returns the cell-major (sum of the widths, k, channels) spectra, one
+    block of m columns per group.
     """
     k, channels = plan.k, taps.shape[1]
     widths = [group.width for group in plan.groups]
     spectra = np.empty((sum(widths), channels, k), dtype=np.complex128)
-    scratch = np.empty(max(widths) * channels * k, dtype=np.complex128)
+    scratch, span = (np.empty(max(widths) * channels * k, dtype=np.complex128) for _ in range(2))
     col = 0
     for index, m in enumerate(widths):
         n_taps = min(plan.layout.filter_len, plan.groups[index].longest)
-        rows = taps[k * col : k * (col + m)].reshape(k, m * channels)
         live = -(-n_taps // m)
+        cells = span[: live * m * channels].reshape(live * m, channels)
+        cells[:n_taps] = taps[:n_taps]
+        cells[n_taps:] = 0
+        rows = span[: k * m * channels].reshape(k, m * channels)
         _group_stages(plan, index, rows, spectra[col : col + m], slice(0, m), live, m, True, scratch)
         col += m
     return spectra.reshape(-1, k, channels)
 
 
 # Bytes one chunk of ``split_dual_real`` works on, small enough to stay in a
-# core's private cache.  Per cell and paired channel, _SPLIT_CELL_BYTES:
-# 16 of spectrum, 16 of temporary, 16 of output, and at most 32 of the
-# filter's A and B, which the chunk's documents share.  A chunk is whole
-# grid columns, at least one: as many whole runs of a width group as fit,
-# or, where one run does not fit, that run in pieces.
+# core's private cache.  Per frequency and paired channel, _SPLIT_CELL_BYTES:
+# 16 of spectrum, 16 of temporary, 16 of the result before it is written
+# back, and at most 32 of the filter's A and B, which the chunk's documents
+# share.  A chunk holds at least one frequency and its mirror: as many
+# whole runs of a width group as fit, or, where one run does not fit, a
+# piece of its lower half together with the mirrors of that piece.
 _SPLIT_CHUNK_BYTES = 1 << 20
 _SPLIT_CELL_BYTES = 80
 
@@ -572,10 +593,17 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np
     over its documents.  Each document's spectrum is one run of n
     frequencies in natural order, so conj(r[f]) = run[(-f) mod n] is the
     run read backwards from its end, after its first element: a reversed
-    view.  All of it runs per chunk of grid columns sized to
-    ``_SPLIT_CHUNK_BYTES``, A and B once per group and piece of its runs,
-    so only the reads of the spectra and the writes of the result go to
-    memory.  Returns the cell-major array of z's shape.
+    view.
+
+    The result is written over ``spectrum`` and returned when that is a
+    C-contiguous complex128 array, as ``transform_grid`` returns; any other
+    input is copied once and the copy is returned.  Frequencies f and
+    n - f read each other, so a chunk takes frequencies [lo, hi) of a
+    run's lower half, f <= n/2, together with their mirrors n - f, and
+    computes both into chunk buffers before writing them back: no chunk
+    reads a frequency that another chunk writes.  Chunks are sized to
+    ``_SPLIT_CHUNK_BYTES``, A and B formed once per group and piece of its
+    runs, so only the reads and writes of the spectra go to memory.
     """
     z = np.ascontiguousarray(spectrum, dtype=np.complex128)
     zf = np.ascontiguousarray(filter_spectra, dtype=np.complex128)
@@ -586,39 +614,76 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np
     widths = sum(group.width for group in plan.groups)
     if zf.shape != (widths, k, pairs):
         raise ValueError(f"filter spectra shape {zf.shape} does not match {(widths, k, pairs)}")
-    paired = np.empty_like(z)
-    step = max(1, _SPLIT_CHUNK_BYTES // (_SPLIT_CELL_BYTES * k * pairs))
-    size = min(step, m_total) * k * pairs
-    t_buf, a_buf, b_buf = (np.empty(size, dtype=np.complex128) for _ in range(3))
+    # A chunk is as many whole runs of n frequencies as fit, else a piece of
+    # one run's lower half and the mirrors of that piece: at most ``cells``
+    # frequencies, or one and its mirror.  The buffers fit the largest chunk.
+    cells = max(1, _SPLIT_CHUNK_BYTES // (_SPLIT_CELL_BYTES * pairs))
+    chunks = []
+    for group in plan.groups:
+        n = k * group.width
+        docs, piece = (min(cells // n, group.n_docs), n // 2 + 1) if n <= cells else (1, max(1, cells // 2))
+        chunks.append((docs, piece, min(n, 2 * piece)))
+    t_buf, o_buf = (np.empty(max(d * c for d, _, c in chunks) * pairs, dtype=np.complex128) for _ in range(2))
+    a_buf, b_buf = (np.empty(max(c for _, _, c in chunks) * pairs, dtype=np.complex128) for _ in range(2))
     counting.add_complex_muls(2 * (z.size + zf.size), real_muls_each=4)
     col = 0
-    for group in plan.groups:
-        # A chunk is whole runs of n frequencies where one fits, else one run in pieces.
-        n, docs, piece = k * group.width, max(1, step // group.width), min(step, group.width) * k
+    for group, (docs, piece, _) in zip(plan.groups, chunks):
+        n = k * group.width
+        half = n // 2 + 1
         fz = zf[col : col + group.width].reshape(1, n, pairs)
         col += group.width
-        runs, out = (arr[group.cols].reshape(group.n_docs, n, pairs) for arr in (z, paired))
-        for lo in range(0, n, piece):
-            hi = min(lo + piece, n)
-            a, b, t = (buf[: (hi - lo) * pairs].reshape(1, hi - lo, pairs) for buf in (a_buf, b_buf, t_buf))
-            _group_filter(fz, lo, hi, a, b, t)
+        runs = z[group.cols].reshape(group.n_docs, n, pairs)
+        for start in range(0, half, piece):
+            spans = _mirror_closed(n, start, min(start + piece, half))
+            count = spans[-1][2].stop
+            a, b, t = (buf[: count * pairs].reshape(1, count, pairs) for buf in (a_buf, b_buf, t_buf))
+            for lo, hi, cut in spans:
+                _group_filter(fz, lo, hi, a[:, cut], b[:, cut], t[:, cut])
             for d in range(0, group.n_docs, docs):
-                # Every multiply writes a buffer it does not read, from
-                # operands of equal rank: numpy rounds a one-element complex
-                # multiply in place, or one that broadcasts an operand of
-                # lower rank, an ulp differently, and the result would then
-                # depend on the chunking.
-                run, o = runs[d : d + docs], out[d : d + docs, lo:hi]
-                t = t_buf[: o.size].reshape(o.shape)
-                np.multiply(run[:, lo:hi], a, out=t)
-                np.conjugate(t, out=o)
-                # conj(r[f]) = run[(-f) mod n]: run[0] at f = 0, run[n - f] from f = 1 on.
-                if lo == 0:
-                    np.multiply(run[:, :1], b[:, :1], out=t[:, :1])
-                f = max(lo, 1)
-                np.multiply(run[:, n - f : n - hi : -1], b[:, f - lo :], out=t[:, f - lo :])
-                o += t
-    return paired
+                run = runs[d : d + docs]
+                o, t = (buf[: len(run) * count * pairs].reshape(len(run), count, pairs) for buf in (o_buf, t_buf))
+                for lo, hi, cut in spans:
+                    _split_span(run, lo, hi, a[:, cut], b[:, cut], t[:, cut], o[:, cut])
+                for lo, hi, cut in spans:
+                    run[:, lo:hi] = o[:, cut]
+    return z
+
+
+def _mirror_closed(n: int, lo: int, hi: int) -> list[tuple[int, int, slice]]:
+    """Frequencies [lo, hi) of a run's lower half and their mirrors n - f, as spans.
+
+    f and n - f are one frequency at f = 0 and f = n/2; the mirrors of the
+    rest, 0 < f < n/2, form the range [n + 1 - min(hi, ceil(n/2)),
+    n + 1 - max(lo, 1)).  Each span is (lo, hi, its slice of the chunk's
+    buffers); ranges that meet are one span, so a whole run is one.
+    """
+    mlo, mhi = n + 1 - min(hi, (n + 1) // 2), n + 1 - max(lo, 1)
+    if mlo >= mhi:
+        return [(lo, hi, slice(0, hi - lo))]
+    if mlo == hi:
+        return [(lo, mhi, slice(0, mhi - lo))]
+    return [(lo, hi, slice(0, hi - lo)), (mlo, mhi, slice(hi - lo, hi - lo + mhi - mlo))]
+
+
+def _split_span(run: np.ndarray, lo: int, hi: int, a: np.ndarray, b: np.ndarray, t: np.ndarray, o: np.ndarray) -> None:
+    """conj(z) * A + conj(r) * B of ``split_dual_real`` at frequencies lo <= f < hi of ``run`` into ``o``.
+
+    ``run`` is (docs, n, D), ``a`` and ``b`` are conj(A) and B from
+    ``_group_filter``, (1, hi - lo, D), and ``t`` a temporary of ``o``'s
+    (docs, hi - lo, D) shape.  Every multiply writes a buffer it does not
+    read, from operands of equal rank: numpy rounds a one-element complex
+    multiply in place, or one that broadcasts an operand of lower rank, an
+    ulp differently, and the result would then depend on the chunking.
+    """
+    n = run.shape[1]
+    np.multiply(run[:, lo:hi], a, out=t)
+    np.conjugate(t, out=o)
+    # conj(r[f]) = run[(-f) mod n]: run[0] at f = 0, run[n - f] from f = 1 on.
+    if lo == 0:
+        np.multiply(run[:, :1], b[:, :1], out=t[:, :1])
+    f = max(lo, 1)
+    np.multiply(run[:, n - f : n - hi : -1], b[:, f - lo :], out=t[:, f - lo :])
+    o += t
 
 
 def _group_filter(run: np.ndarray, lo: int, hi: int, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:

@@ -23,6 +23,14 @@ def test_dft_matrix_rejects_zero():
         dft_matrix(0)
 
 
+@pytest.mark.parametrize("j", [1, 2, 3, 7, 64, 128, 256, 512, 1000, 1024])
+def test_dft_matrix_gathers_the_elementwise_exp_bit_for_bit(j):
+    # The matrix gathers its j distinct roots; evaluating exp at every entry
+    # of the reduced exponent gives the same values, bit for bit.
+    lm = np.outer(np.arange(j, dtype=np.int64), np.arange(j, dtype=np.int64)) % j
+    assert np.array_equal(dft_matrix(j), np.exp((2j * np.pi / j) * lm))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 31, 32, 100])
 def test_dft_matrix_matches_naive_dft(n):
     rng = np.random.default_rng(n)
