@@ -47,11 +47,18 @@ span of k * m positions, which read as (k, m, ceil(D/2)) is its own grid
 and runs through the same stage code as the data.  The split recovers
 both channels of both spectra through conjugate symmetry, multiplies each
 channel by its group's filter spectrum over L' and writes the paired
-inverse input over the spectrum.  Frequencies f and n - f of a run read
-each other, so it runs per chunk of whole runs, or of a piece of a run's
-lower half with the mirrors of that piece, small enough to stay in a
-core's private cache, and computes each chunk into buffers before writing
-it back.  The filters are transformed once the forward has returned and
+inverse input over the spectrum, as conj(z) * A + z[-f] * B with per-group
+factors A and B of the filter.  The filters are real, so A and B are
+Hermitian, A[-f] = conj(A[f]), and the split's unit is the mirror pair
+x = z[f], y = z[n - f] of a run of n frequencies: out[f] =
+conj(x) * A + y * B and out[n - f] = conj(conj(x) * B + y * A), with A and
+B at f, four multiplies that read the pair once and write both.  f = 0,
+its own mirror, goes alone; the pairs 1 <= f <= n/2 are two views of the
+runs, one reversed, that share only f = n/2 of an even n.  A chunk, of one
+shape throughout, is a piece of the pairs of as many runs as fit in a
+core's private cache, so short runs go many per chunk and a long run in
+pieces, and it computes both outputs into buffers before writing them
+back.  The filters are transformed once the forward has returned and
 its loaded grid is dropped.  So besides one chunk of scratch and the
 filter's taps, ``convolve`` holds at most two half-width complex arrays
 at a time: the loaded grid and the spectrum during the forward, the
@@ -568,14 +575,17 @@ def _filter_spectra(plan: RubiConvPlan, taps: np.ndarray) -> np.ndarray:
 
 
 # Bytes one chunk of ``split_dual_real`` works on, small enough to stay in a
-# core's private cache.  Per frequency and paired channel, _SPLIT_CELL_BYTES:
-# 16 of spectrum, 16 of temporary, 16 of the result before it is written
-# back, and at most 32 of the filter's A and B, which the chunk's documents
-# share.  A chunk holds at least one frequency and its mirror: as many
-# whole runs of a width group as fit, or, where one run does not fit, a
-# piece of its lower half together with the mirrors of that piece.
+# core's private cache, counted per mirror pair (f, n - f) and paired
+# channel as _SPLIT_PAIR_BYTES: 32 of the pair's spectrum, 48 of conj(z[f])
+# and the two results before they are written back, 32 of the filter's A
+# and B, which the chunk's documents share, and 48 to spare for the buffers
+# of 8192 elements that numpy's iterator allocates per operand when A and B
+# broadcast over a batch of runs.  (At 112, a batch of two runs of n = 4096
+# over two paired channels lifted convolve's tracemalloc peak from 1.33 to
+# 1.38 grids.)  A chunk is one piece of the pairs of as many runs of a
+# width group as fit, at least one pair of one run.
 _SPLIT_CHUNK_BYTES = 1 << 20
-_SPLIT_CELL_BYTES = 80
+_SPLIT_PAIR_BYTES = 160
 
 
 def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np.ndarray) -> np.ndarray:
@@ -590,122 +600,110 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np
     which carries the inverse's 1/n for the group's L' = n = k * m_i.
     Expanded, that is conj(z) * A + conj(r) * B with the group's
     A = conj(F_a - F_b) / (2n) and B = conj(F_a + F_b) / (2n), broadcast
-    over its documents.  Each document's spectrum is one run of n
-    frequencies in natural order, so conj(r[f]) = run[(-f) mod n] is the
-    run read backwards from its end, after its first element: a reversed
-    view.
+    over its documents.  The filters are real, so A and B are Hermitian:
+    A[-f] = conj(A[f]), and so is B.  Each document's spectrum is one run
+    of n frequencies in natural order, so a mirror pair x = z[f] and
+    y = z[n - f] gives both of its outputs,
+    out[f] = conj(x) * A + y * B and out[n - f] = conj(conj(x) * B + y * A),
+    with A and B at f: four multiplies per pair.  f = 0 is its own mirror,
+    and so is f = n/2 of an even n.
 
     The result is written over ``spectrum`` and returned when that is a
     C-contiguous complex128 array, as ``transform_grid`` returns; any other
-    input is copied once and the copy is returned.  Frequencies f and
-    n - f read each other, so a chunk takes frequencies [lo, hi) of a
-    run's lower half, f <= n/2, together with their mirrors n - f, and
-    computes both into chunk buffers before writing them back: no chunk
-    reads a frequency that another chunk writes.  Chunks are sized to
-    ``_SPLIT_CHUNK_BYTES``, A and B formed once per group and piece of its
-    runs, so only the reads and writes of the spectra go to memory.
+    input is copied once and the copy is returned.  A chunk is a piece of
+    pairs f in [lo, hi) of 1 <= f <= n/2 of as many runs of a group as fit
+    in ``_SPLIT_CHUNK_BYTES``, read as the views ``runs[:, lo:hi]`` and
+    ``runs[:, n - lo : n - hi : -1]``, after a chunk of f = 0 alone: short
+    runs go many per chunk, a long run in pieces.  Each chunk computes both
+    outputs into buffers before writing them back, so no chunk reads what
+    another writes.  A and B are formed once per piece, and every batch of
+    the group's runs reuses them, so only the reads and writes of the
+    spectra go to memory.
     """
     z = np.ascontiguousarray(spectrum, dtype=np.complex128)
     zf = np.ascontiguousarray(filter_spectra, dtype=np.complex128)
     m_total, k = plan.layout.total_cols, plan.k
     if z.ndim != 3 or z.shape[:2] != (m_total, k):
         raise ValueError(f"spectrum shape {z.shape} does not match {(m_total, k)}")
-    pairs = z.shape[2]
+    channels = z.shape[2]
     widths = sum(group.width for group in plan.groups)
-    if zf.shape != (widths, k, pairs):
-        raise ValueError(f"filter spectra shape {zf.shape} does not match {(widths, k, pairs)}")
-    # A chunk is as many whole runs of n frequencies as fit, else a piece of
-    # one run's lower half and the mirrors of that piece: at most ``cells``
-    # frequencies, or one and its mirror.  The buffers fit the largest chunk.
-    cells = max(1, _SPLIT_CHUNK_BYTES // (_SPLIT_CELL_BYTES * pairs))
-    chunks = []
-    for group in plan.groups:
-        n = k * group.width
-        docs, piece = (min(cells // n, group.n_docs), n // 2 + 1) if n <= cells else (1, max(1, cells // 2))
-        chunks.append((docs, piece, min(n, 2 * piece)))
-    t_buf, o_buf = (np.empty(max(d * c for d, _, c in chunks) * pairs, dtype=np.complex128) for _ in range(2))
-    a_buf, b_buf = (np.empty(max(c for _, _, c in chunks) * pairs, dtype=np.complex128) for _ in range(2))
+    if zf.shape != (widths, k, channels):
+        raise ValueError(f"filter spectra shape {zf.shape} does not match {(widths, k, channels)}")
+    # Each group's chunk is ``piece`` pairs of ``batch`` runs, at most
+    # ``fit`` pairs; the buffers fit the largest chunk.
+    fit = max(1, _SPLIT_CHUNK_BYTES // (_SPLIT_PAIR_BYTES * channels))
+    pieces = [min(max(1, k * group.width // 2), fit) for group in plan.groups]
+    batches = [min(group.n_docs, fit // piece) for group, piece in zip(plan.groups, pieces)]
+    size = max(piece * batch for piece, batch in zip(pieces, batches)) * channels
+    u_buf, p_buf, q_buf = (np.empty(size, dtype=np.complex128) for _ in range(3))
+    a_buf, b_buf = (np.empty(max(pieces) * channels, dtype=np.complex128) for _ in range(2))
     counting.add_complex_muls(2 * (z.size + zf.size), real_muls_each=4)
     col = 0
-    for group, (docs, piece, _) in zip(plan.groups, chunks):
+    for group, piece, batch in zip(plan.groups, pieces, batches):
         n = k * group.width
-        half = n // 2 + 1
-        fz = zf[col : col + group.width].reshape(1, n, pairs)
+        fz = zf[col : col + group.width].reshape(1, n, channels)
+        runs = z[group.cols].reshape(group.n_docs, n, channels)
         col += group.width
-        runs = z[group.cols].reshape(group.n_docs, n, pairs)
-        for start in range(0, half, piece):
-            spans = _mirror_closed(n, start, min(start + piece, half))
-            count = spans[-1][2].stop
-            a, b, t = (buf[: count * pairs].reshape(1, count, pairs) for buf in (a_buf, b_buf, t_buf))
-            for lo, hi, cut in spans:
-                _group_filter(fz, lo, hi, a[:, cut], b[:, cut], t[:, cut])
-            for d in range(0, group.n_docs, docs):
-                run = runs[d : d + docs]
-                o, t = (buf[: len(run) * count * pairs].reshape(len(run), count, pairs) for buf in (o_buf, t_buf))
-                for lo, hi, cut in spans:
-                    _split_span(run, lo, hi, a[:, cut], b[:, cut], t[:, cut], o[:, cut])
-                for lo, hi, cut in spans:
-                    run[:, lo:hi] = o[:, cut]
+        # f = 0, its own mirror, goes alone, then the pairs 1 <= f <= n/2 in pieces.
+        ends = [*range(1, n // 2 + 1, piece), n // 2 + 1]
+        views = [(slice(lo, hi), slice(n - lo, n - hi, -1)) for lo, hi in zip(ends, ends[1:])]
+        for low, high in [(slice(0, 1), slice(0, 1)), *views]:
+            w = low.stop - low.start
+            a, b, t = (buf[: w * channels].reshape(1, w, channels) for buf in (a_buf, b_buf, u_buf))
+            _pair_filter(n, fz[:, low], fz[:, high], a, b, t)
+            for d in range(0, group.n_docs, batch):
+                run = runs[d : d + batch]
+                u, p, q = (buf[: len(run) * w * channels].reshape(-1, w, channels) for buf in (u_buf, p_buf, q_buf))
+                _split_pair(run[:, low], run[:, high], a, b, u, p, q)
     return z
 
 
-def _mirror_closed(n: int, lo: int, hi: int) -> list[tuple[int, int, slice]]:
-    """Frequencies [lo, hi) of a run's lower half and their mirrors n - f, as spans.
+def _pair_filter(n: int, low: np.ndarray, high: np.ndarray, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
+    """A and B of ``split_dual_real`` at a piece of mirror pairs of a paired filter run of n.
 
-    f and n - f are one frequency at f = 0 and f = n/2; the mirrors of the
-    rest, 0 < f < n/2, form the range [n + 1 - min(hi, ceil(n/2)),
-    n + 1 - max(lo, 1)).  Each span is (lo, hi, its slice of the chunk's
-    buffers); ranges that meet are one span, so a whole run is one.
+    ``low`` holds the filter's z at frequencies f and ``high`` at their
+    mirrors n - f, both (1, w, D) views.  With u = conj(z[f]) and
+    v = z[n - f], read as the split reads the data, conj(F_a) = (u + v) / 2
+    and conj(F_b) = i/2 * (u - v), so A = conj(F_a - F_b) / (2n) = s + d and
+    B = conj(F_a + F_b) / (2n) = s - d for s = (u + v) / (4n) and
+    d = i/(4n) * (v - u).  A and B go into ``a`` and ``b``, of the shape of
+    the temporary ``t``; at n - f they are conj(A) and conj(B), which the
+    split applies without forming them.
     """
-    mlo, mhi = n + 1 - min(hi, (n + 1) // 2), n + 1 - max(lo, 1)
-    if mlo >= mhi:
-        return [(lo, hi, slice(0, hi - lo))]
-    if mlo == hi:
-        return [(lo, mhi, slice(0, mhi - lo))]
-    return [(lo, hi, slice(0, hi - lo)), (mlo, mhi, slice(hi - lo, hi - lo + mhi - mlo))]
-
-
-def _split_span(run: np.ndarray, lo: int, hi: int, a: np.ndarray, b: np.ndarray, t: np.ndarray, o: np.ndarray) -> None:
-    """conj(z) * A + conj(r) * B of ``split_dual_real`` at frequencies lo <= f < hi of ``run`` into ``o``.
-
-    ``run`` is (docs, n, D), ``a`` and ``b`` are conj(A) and B from
-    ``_group_filter``, (1, hi - lo, D), and ``t`` a temporary of ``o``'s
-    (docs, hi - lo, D) shape.  Every multiply writes a buffer it does not
-    read, from operands of equal rank: numpy rounds a one-element complex
-    multiply in place, or one that broadcasts an operand of lower rank, an
-    ulp differently, and the result would then depend on the chunking.
-    """
-    n = run.shape[1]
-    np.multiply(run[:, lo:hi], a, out=t)
-    np.conjugate(t, out=o)
-    # conj(r[f]) = run[(-f) mod n]: run[0] at f = 0, run[n - f] from f = 1 on.
-    if lo == 0:
-        np.multiply(run[:, :1], b[:, :1], out=t[:, :1])
-    f = max(lo, 1)
-    np.multiply(run[:, n - f : n - hi : -1], b[:, f - lo :], out=t[:, f - lo :])
-    o += t
-
-
-def _group_filter(run: np.ndarray, lo: int, hi: int, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> None:
-    """conj(A) and B of ``split_dual_real`` at frequencies lo <= f < hi of a paired filter run.
-
-    With u = conj(z) and v = z at -freq, read as the split reads the data,
-    conj(F_a) = (u + v) / 2 and conj(F_b) = i/2 * (u - v), so
-    A = conj(F_a - F_b) / (2n) = s + d and B = conj(F_a + F_b) / (2n) = s - d
-    for s = (u + v) / (4n) and d = i/(4n) * (v - u).  ``run`` is (1, n, D),
-    and conj(A) and B go into ``a`` and ``b``, (1, hi - lo, D) like the
-    temporary ``t``.
-    """
-    n = run.shape[1]
-    np.conjugate(run[:, lo:hi], out=t)
-    if lo == 0:
-        b[:, 0] = run[:, 0]
-    f = max(lo, 1)
-    b[:, f - lo :] = run[:, n - f : n - hi : -1]
+    np.conjugate(low, out=t)
+    b[...] = high
     np.add(t, b, out=a)
     b -= t
     np.multiply(a, 0.25 / n, out=t)
     np.multiply(b, 0.25j / n, out=a)
     np.subtract(t, a, out=b)
     a += t
-    np.conjugate(a, out=a)
+
+
+def _split_pair(
+    low: np.ndarray, high: np.ndarray, a: np.ndarray, b: np.ndarray, u: np.ndarray, p: np.ndarray, q: np.ndarray
+) -> None:
+    """Both outputs of ``split_dual_real`` at a piece of mirror pairs of a batch of runs, written back.
+
+    ``low`` holds x = z[f] and ``high`` y = z[n - f], (docs, w, D) views of
+    the runs, and ``a`` and ``b`` A and B at f from ``_pair_filter``,
+    (1, w, D).  conj(x) * A + y * B goes into ``p`` and
+    conj(conj(x) * B + y * A) into ``q``, through ``u``, all three of
+    ``low``'s shape, and then ``q`` is written to ``high`` and ``p`` to
+    ``low``, in that order: where the views share a cell, its own mirror,
+    both results are equal, and the one written last computes it as every
+    other f <= n/2.  Every multiply writes a buffer it does not read, from
+    operands of equal rank: numpy rounds a one-element complex multiply in
+    place, or one that broadcasts an operand of lower rank, an ulp
+    differently, and the result would then depend on the chunking.
+    """
+    np.conjugate(low, out=u)
+    np.multiply(u, a, out=p)
+    np.multiply(high, b, out=q)
+    p += q
+    np.multiply(u, b, out=q)
+    np.multiply(high, a, out=u)
+    q += u
+    np.conjugate(q, out=q)
+    high[...] = q
+    low[...] = p

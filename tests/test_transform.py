@@ -362,21 +362,23 @@ def test_grid_stages_ignore_memory_layout():
             assert spectrum.flags.c_contiguous or np.array_equal(spectrum, expected)
 
 
-def test_split_chunks_of_one_column_match_a_single_chunk(monkeypatch):
-    # A budget of c columns (_SPLIT_CELL_BYTES * k * ceil(D/2) bytes each)
-    # puts whole runs of width m <= c in one chunk and splits a wider run's
-    # lower half, f <= n/2, into pieces of c * k / 2 frequencies, each with
-    # its mirrors n - f, which lie in another part of the run.  At k = 1 the
-    # pieces of one column hold f = 0 alone, then one f and its mirror.  The
-    # k = 3 layout has odd n = k * m, where no frequency but 0 is its own
-    # mirror.  The spectra carry ceil(D/2) paired channels: one for D = 1
-    # and 2, three for D = 5, and two.  Every chunking must give the
-    # one-chunk result bit for bit, chunks of one element (k = 1, one paired
-    # channel, one column) included.  numpy rounds a one-element complex
-    # multiply by an ulp differently from a longer one when it runs in
-    # place or broadcasts operands of unequal rank, so the split does
-    # neither.  The split writes over a C-contiguous complex128 spectrum and
-    # returns it, so every call gets its own copy.
+def test_split_chunks_of_mirror_pairs_match_a_single_chunk(monkeypatch):
+    # The split works on mirror pairs (f, n - f), 1 <= f <= n/2, after f = 0
+    # alone.  A budget of c pairs (_SPLIT_PAIR_BYTES * ceil(D/2) bytes each)
+    # puts the pairs of c / (n/2) whole runs of n in one chunk, or splits a
+    # longer run's pairs into pieces of c.  The budgets are 1, 2 and 3 pairs,
+    # each width's n/2, one less than the largest and two runs of it.  At
+    # n = 1 the run is f = 0 alone; at n = 2 its one pair is f = 1 = n/2, its
+    # own mirror, as is n/2 of every even n.  The k = 3 layout has odd
+    # n = k * m, where no frequency but 0 is its own mirror.  The spectra
+    # carry ceil(D/2) paired channels: one for D = 1 and 2, three for D = 5,
+    # and two.  Every chunking must give the one-chunk result bit for bit,
+    # chunks of one element (k = 1, one paired channel, one pair) included.
+    # numpy rounds a one-element complex multiply by an ulp differently from
+    # a longer one when it runs in place or broadcasts operands of unequal
+    # rank, so the split does neither.  The split writes over a C-contiguous
+    # complex128 spectrum and returns it, so every call gets its own copy,
+    # and it leaves the filter spectra as they were.
     rng = np.random.default_rng(17)
     layouts = (
         ([7, 40, 1, 19, 90], 8, 4),
@@ -388,22 +390,25 @@ def test_split_chunks_of_one_column_match_a_single_chunk(monkeypatch):
     odd = set()
     for lengths, filter_len, k in layouts:
         plan = build_plan(lengths, filter_len=filter_len, k=k)
-        widths = sorted({g.width for g in plan.groups})
-        odd |= {k * m for m in widths if k * m % 2}
+        halves = sorted({k * g.width // 2 for g in plan.groups})
+        odd |= {k * g.width for g in plan.groups if k * g.width % 2}
         for pairs in (1, 3, 2):
             shape = (plan.layout.total_cols, plan.k, pairs)
             spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             filter_spectra = _random_filter_spectra(rng, plan, pairs)
+            filters = filter_spectra.copy()
             monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", 1 << 40)
             whole = split_dual_real(plan, spectrum.copy(), filter_spectra)
-            column = rubiconv.transform._SPLIT_CELL_BYTES * k * pairs
-            budgets = {1, 2, 3, *widths, 2 * widths[-1], widths[-1] - 1} - {0}
-            for cols in sorted(budgets):
-                monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", max(1, cols * column))
+            assert np.array_equal(filter_spectra, filters)
+            pair = rubiconv.transform._SPLIT_PAIR_BYTES * pairs
+            budgets = {1, 2, 3, *halves, halves[-1] - 1, 2 * halves[-1]} - {0}
+            for count in sorted(budgets):
+                monkeypatch.setattr(rubiconv.transform, "_SPLIT_CHUNK_BYTES", count * pair)
                 copy = spectrum.copy()
                 got = split_dual_real(plan, copy, filter_spectra)
                 assert got is copy
-                assert np.array_equal(got, whole), (lengths, pairs, cols)
+                assert np.array_equal(got, whole), (lengths, pairs, count)
+                assert np.array_equal(filter_spectra, filters)
     assert odd >= {3, 9, 33}
 
 
