@@ -116,14 +116,24 @@ b = b1 + p * b2, its second pass runs per b1 one q-point GEMM over the
 rows b2 < ceil(keep / p) that cover the kept columns.
 An n-point stage that reads a vector's first r inputs and keeps its first
 c outputs costs r * c multiplications in one GEMM and
-n1 * r + n * ceil(c / n1) in two passes, n = n1 * n2, and each group
-takes the cheaper, so the k-point stage costs K(r) = min(k * r,
-k1 * r + k * k2) per grid column and the block stage
-B(m, c) = min(m * c, m * (p + ceil(c / p))) per document, grid row and
-channel; an unfactored k or m keeps the one-GEMM cost.  (At k = 256, two
-passes pay from r = 18 rows on.)  The group filters' transforms prune
-and factor the same way, reading r'_w = ceil(n_w / m_w) rows and keeping
-every column.  A convolution over D channels counts (``convolve_cmuls``)
+n1 * r + n * ceil(c / n1) in two passes, n = n1 * n2.
+
+Every choice the stages make is made once, by ``_schedule``: per width
+group and transform, one run that names the group's columns, the rows its
+k-point stage reads, the block columns it keeps, k1 and p (1 for one
+GEMM) and a chunk's columns.  ``transform_grid`` and the group filters'
+transform run the runs and decide nothing, and ``convolve_cmuls`` sums
+their costs.  The schedule takes two k-point passes where they count
+fewer, so that stage costs K(r) = min(k * r, k1 * r + k * k2) per grid
+column, and two block passes wherever m factors: a group keeps at least
+half of its m columns, and then two passes always count fewer, so the
+block stage costs B(m, c) = m * (p + ceil(c / p)) per document, grid row
+and channel, or m * c where m does not factor.  An unfactored k keeps the
+one-GEMM cost.  (At k = 256, two passes pay from r = 18 rows on.)  Each
+group's filter is one document of a group of its width, so the filters'
+transform is scheduled the same way, reading r'_w = ceil(n_w / m_w) rows
+and keeping every column.  A convolution over D channels counts
+(``convolve_cmuls``)
 
     ceil(D/2) * (sum_w c_w K(r_w) + k m_total + k * sum_i B(m_i, m_i)
                  + sum_w (m_w K(r'_w) + k m_w + k B(m_w, m_w) + 2 k m_w)
@@ -139,8 +149,8 @@ channel two for the split and product, conj(z) * A + conj(r) * B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,13 +181,13 @@ class RubiConvPlan:
     """
 
     layout: PackedLayout
-    m1: np.ndarray  # (k, k) first-stage DFT
+    m1: np.ndarray = field(repr=False)  # (k, k) first-stage DFT
     groups: tuple[WidthGroup, ...]  # the grid's width groups, with their live rows and columns
-    twiddles: tuple[np.ndarray, ...]  # per group, (m, k) with w_{k*m}^(b*a) at [b, a]
-    m2: tuple[np.ndarray, ...]  # per group, the (m, m) second-stage DFT
-    p1: IndexMap  # packed vector -> grid, row-major per block
-    pre_ifft: IndexMap  # cell-major spectrum -> grid, row-major per block
-    p2: IndexMap  # cell-major grid -> packed vector, whole padded spans
+    twiddles: tuple[np.ndarray, ...] = field(repr=False)  # per group, (m, k) with w_{k*m}^(b*a) at [b, a]
+    m2: tuple[np.ndarray, ...] = field(repr=False)  # per group, the (m, m) second-stage DFT
+    p1: IndexMap = field(repr=False)  # packed vector -> grid, row-major per block
+    pre_ifft: IndexMap = field(repr=False)  # cell-major spectrum -> grid, row-major per block
+    p2: IndexMap = field(repr=False)  # cell-major grid -> packed vector, whole padded spans
 
     @property
     def k(self) -> int:
@@ -231,17 +241,16 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
 
 
 def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
-    """Complex multiplications one fused ``convolve`` call counts (see the module notes)."""
-    k, m_total = layout.k, layout.total_cols
-    k1 = _factors(k, _MIN_FACTOR)[0]
-    forward = inverse = k * m_total  # the twiddles
-    for g in width_groups(layout):
-        m, cols, p = g.width, g.width * g.n_docs, _factors(g.width, _MIN_BLOCK_FACTOR)[0]
-        taps = -(-min(layout.filter_len, g.longest) // m)  # the group filter's live rows
-        forward += cols * _dft_cmuls(k, k1, g.live_rows, k) + g.n_docs * k * _dft_cmuls(m, p, m, m)
-        forward += m * _dft_cmuls(k, k1, taps, k) + k * m + k * _dft_cmuls(m, p, m, m) + 2 * k * m
-        inverse += cols * _dft_cmuls(k, k1, k, k) + g.n_docs * k * _dft_cmuls(m, p, m, g.live_cols)
-    return (channels + 1) // 2 * (forward + inverse + 2 * k * m_total)
+    """Complex multiplications one fused ``convolve`` call counts (see the module notes).
+
+    Its three transforms' runs (``_schedule``) and the split's two per
+    spectrum and filter cell, per paired channel.
+    """
+    k, groups = layout.k, width_groups(layout)
+    filters = _schedule(k, _filter_groups(layout, groups), skip_zero_rows=True)
+    runs = _schedule(k, groups, skip_zero_rows=True) + filters + _schedule(k, groups, skip_unread_cols=True)
+    split = 2 * k * (layout.total_cols + sum(g.width for g in groups))
+    return (channels + 1) // 2 * (sum(_run_cmuls(k, run) for run in runs) + split)
 
 
 def _freeze(array: np.ndarray) -> None:
@@ -276,77 +285,110 @@ def transform_grid(
     ``skip_unread_cols`` says that only outputs at times t < L_i are read:
     the block stage then computes only the group's ``live_cols`` output
     columns and writes zeros into the rest.  Without them the transform is
-    the full padded-length DFT.  With either, the k-point stage and each
-    group's block stage run as two GEMM passes where ``_factors`` splits k
-    and the group's width (at ``_MIN_FACTOR`` and ``_MIN_BLOCK_FACTOR``),
-    and that counts fewer multiplications (``_dft_cmuls``).
+    the full padded-length DFT.  With either, the stages may run as two
+    GEMM passes, which count fewer multiplications.  ``_schedule`` makes
+    every such choice, and this runs what it returns.
     """
     grid = np.asarray(grid, dtype=np.complex128)
-    layout = plan.layout
-    k, m_total = layout.k, layout.total_cols
+    k, m_total = plan.k, plan.layout.total_cols
     if grid.shape[:2] != (k, m_total):
         raise ValueError(f"grid leading shape {grid.shape} does not match {(k, m_total)}")
     width = int(np.prod(grid.shape[2:], dtype=np.int64))
-    rows = grid.reshape(k, m_total * width)
-    pruned = skip_zero_rows or skip_unread_cols
+    rows = grid.reshape(k, m_total, width)
+    runs = _schedule(k, plan.groups, skip_zero_rows, skip_unread_cols)
     work = np.empty((m_total, width, k), dtype=np.complex128)
-    scratch = np.empty(max(plan.groups[-1].width, -(-m_total // _CHUNKS)) * width * k, dtype=np.complex128)
-    for index, group in enumerate(plan.groups):
-        live = group.live_rows if skip_zero_rows else k
-        keep = group.live_cols if skip_unread_cols else group.width
-        _group_stages(plan, index, rows, work, group.cols, live, keep, pruned, scratch)
+    scratch = np.empty(max(run.step for run in runs) * width * k, dtype=np.complex128)
+    for run, twiddle, dft in zip(runs, plan.twiddles, plan.m2):
+        _group_stages(run, plan.m1, twiddle, dft, rows[:, run.group.cols].reshape(k, -1), work[run.group.cols], scratch)
     return work.reshape((m_total, k) + grid.shape[2:])
 
 
 def _group_stages(
-    plan: RubiConvPlan,
-    index: int,
-    rows: np.ndarray,
-    work: np.ndarray,
-    cols: slice,
-    live: int,
-    keep: int,
-    pruned: bool,
-    scratch: np.ndarray,
+    run: _Run, m1: np.ndarray, twiddle: np.ndarray, dft: np.ndarray, rows: np.ndarray, work: np.ndarray, scratch: np.ndarray
 ) -> None:
-    """The three stages of width group ``index`` over the grid columns ``cols``.
+    """The three stages of one width group's run, chunk by chunk, as ``_schedule`` chose them.
 
-    ``rows`` is the loaded (k, columns * D) grid and ``work`` its
-    (columns, D, k) output; the k-point stage reads the first ``live``
-    rows, and the block stage keeps the first ``keep`` output columns of
-    each block.  ``pruned`` lets either stage run as two GEMM passes where
-    that counts fewer multiplications, and ``scratch`` holds one chunk of
-    either stage: its size over D * k sets the chunk's columns.
+    ``rows`` is the run's (k, columns * D) slice of the loaded grid and
+    ``work`` its (columns, D, k) output; ``twiddle`` and ``dft`` are the
+    group's tables, and ``scratch`` holds one chunk of either stage.
     """
-    # The group walks its columns in chunks of whole documents (see
-    # ``_CHUNKS``), running the three stages per chunk.
-    # Both DFT stages take one shape: an optional first pass, taken pruned
-    # where it costs fewer multiplications, then a second, one GEMM at
-    # k1 = 1 or p = 1.  M1 is symmetric, so cells @ M1 is M1 @ grid, written
-    # column-major; pruned, a group contracts over its live rows only.  The
+    # Both DFT stages take one shape: an optional first pass, then a
+    # second, one GEMM at k1 = 1 or p = 1.  M1 is symmetric, so cells @ M1
+    # is M1 @ grid, written column-major, over the run's rows only.  The
     # k-point stage leaves each cell's frequencies f = f1 + k1 * f2 in
     # (f1, f2) order, and the twiddle is applied in place through a strided
     # view of the table in that order.  The block stage writes into
     # ``scratch`` (and ``part``), and its result goes back, in natural
     # order, into the memory the chunk held in ``work``, with channels last,
     # so that a cell's channels are contiguous for the stages that follow.
-    k, width = plan.k, work.shape[1]
-    m_i, twiddle, dft = plan.groups[index].width, plan.twiddles[index], plan.m2[index]
-    counting.add_complex_muls((cols.stop - cols.start) * width * k, real_muls_each=4)  # the twiddles
-    k1 = _factors(k, _MIN_FACTOR)[0] if pruned else 1
-    k1 = k1 if _dft_cmuls(k, k1, live, k) < k * live else 1
-    table = twiddle.reshape(m_i, k // k1, k1).transpose(0, 2, 1)[:, None]
-    p = _factors(m_i, _MIN_BLOCK_FACTOR)[0] if pruned else 1
-    p = p if _dft_cmuls(m_i, p, m_i, keep) < m_i * keep else 1
-    step = scratch.size // (width * k) // m_i * m_i
-    part = np.empty(step // p * width * k, dtype=np.complex128) if p > 1 else scratch
-    for lo in range(cols.start, cols.stop, step):
-        hi = min(lo + step, cols.stop)
-        stack, n_docs = work[lo:hi], (hi - lo) // m_i
-        _k_stage(plan.m1, rows[:, lo * width : hi * width], stack, live, k1, scratch)
-        docs = stack.reshape(n_docs, m_i, width, k1, k // k1)
+    k, width, m, k1 = m1.shape[0], work.shape[1], run.group.width, run.k1
+    counting.add_complex_muls(work.size, real_muls_each=4)  # the twiddles
+    table = twiddle.reshape(m, k // k1, k1).transpose(0, 2, 1)[:, None]
+    part = np.empty(run.step // run.p * width * k, dtype=np.complex128) if run.p > 1 else scratch
+    for lo in range(0, len(work), run.step):
+        stack = work[lo : lo + run.step]
+        _k_stage(m1, rows[:, lo * width : (lo + len(stack)) * width], stack, run.rows, k1, scratch)
+        docs = stack.reshape(-1, m, width, k1, k // k1)
         docs *= table
-        _block_stage(dft, docs, keep, p, scratch, part)
+        _block_stage(dft, docs, run.keep, run.p, scratch, part)
+
+
+class _Run(NamedTuple):
+    """One width group's stages in one transform: every choice they make."""
+
+    group: WidthGroup  # its columns in the transform's grid, m per document
+    rows: int  # grid rows its k-point stage reads
+    keep: int  # output columns its block stage keeps per document
+    k1: int  # the k-point stage's first-pass size, 1 for one GEMM
+    p: int  # the block stage's, 1 for one GEMM
+    step: int  # columns of a chunk, whole documents
+
+
+def _schedule(
+    k: int, groups: Sequence[WidthGroup], skip_zero_rows: bool = False, skip_unread_cols: bool = False
+) -> tuple[_Run, ...]:
+    """One run per width group of a transform over ``groups``' grid (see ``transform_grid``'s flags).
+
+    A group's run reads its first ``live_rows`` rows with ``skip_zero_rows``
+    and all k without, and keeps its first ``live_cols`` columns with
+    ``skip_unread_cols`` and all m without.  The group filters' transform
+    is the run over ``_filter_groups`` with ``skip_zero_rows``.  With either
+    flag, the k-point stage takes two passes where ``_factors`` splits k
+    and that counts fewer multiplications, and the block stage wherever
+    ``_factors`` splits m: a run keeps at least half of m, since a document
+    of length L pads to at most 2L + k - 2 positions, and then two passes
+    always count fewer.  A chunk is as many whole documents as fit in
+    max(m_max, ceil(columns / _CHUNKS)) columns, and at most the group's.
+    """
+    pruned = skip_zero_rows or skip_unread_cols
+    k1 = _factors(k, _MIN_FACTOR)[0] if pruned else 1
+    chunk = max(groups[-1].width, -(-sum(g.width * g.n_docs for g in groups) // _CHUNKS))
+    runs = []
+    for g in groups:
+        rows = g.live_rows if skip_zero_rows else k
+        keep = g.live_cols if skip_unread_cols else g.width
+        p = _factors(g.width, _MIN_BLOCK_FACTOR)[0] if pruned else 1
+        passes = k1 if _dft_cmuls(k, k1, rows, k) < k * rows else 1
+        runs.append(_Run(g, rows, keep, passes, p, min(chunk // g.width, g.n_docs) * g.width))
+    return tuple(runs)
+
+
+def _filter_groups(layout: PackedLayout, groups: Sequence[WidthGroup]) -> tuple[WidthGroup, ...]:
+    """Each width group's filter as the one document of a group of its width.
+
+    Group w's filter has n_w = min(L_F, longest) taps (see the module
+    notes), and the filters' grid holds one block of m columns per group,
+    in group order.
+    """
+    firsts = np.cumsum([0] + [g.width for g in groups]).tolist()
+    taps = [min(layout.filter_len, g.longest) for g in groups]
+    return tuple(WidthGroup(g.width, c, 1, -(-n // g.width), -(-n // layout.k), n) for g, c, n in zip(groups, firsts, taps))
+
+
+def _run_cmuls(k: int, run: _Run) -> int:
+    """Complex multiplications of one run per channel: its k-point stage, twiddles and block stage."""
+    n_docs, m = run.group.n_docs, run.group.width
+    return n_docs * (m * (_dft_cmuls(k, run.k1, run.rows, k) + k) + k * _dft_cmuls(m, run.p, m, run.keep))
 
 
 # convolve's pruned transforms run an n-point DFT stage as two GEMM passes
@@ -360,7 +402,7 @@ def _group_stages(
 _MIN_FACTOR = 16
 _MIN_BLOCK_FACTOR = 8
 
-# ``transform_grid`` takes each width group's columns in chunks of whole
+# ``_schedule`` takes each width group's columns in chunks of whole
 # documents, of at most max(m_max, ceil(m_total / _CHUNKS)) columns, m_max
 # being the widest document's width, so ``scratch`` holds one chunk of
 # either stage.  All but a group's last chunk hold more than half that
@@ -379,16 +421,15 @@ def _factors(n: int, least: int) -> tuple[int, int]:
 
 
 def _dft_cmuls(n: int, n1: int, rows: int, keep: int) -> int:
-    """Complex multiplications of an n-point DFT stage per vector, the cheaper way.
+    """Complex multiplications of an n-point DFT stage per vector, run as n = n1 * n2.
 
     The vector's first ``rows`` inputs are read and its first ``keep``
-    outputs kept.  One GEMM costs rows * keep.  Two passes, n = n1 * n2,
-    cost n1 * rows in the first (n1 outputs per input read) and
+    outputs kept.  One GEMM, n1 = 1, costs rows * keep.  Two passes cost
+    n1 * rows in the first (n1 outputs per input read) and
     n * ceil(keep / n1) in the second (n2 inputs each for the
-    n1 * ceil(keep / n1) outputs that cover the kept ones); at n1 = 1 that
-    is always more than one GEMM.
+    n1 * ceil(keep / n1) outputs that cover the kept ones).
     """
-    return min(rows * keep, n1 * rows + n * -(-keep // n1))
+    return rows * keep if n1 == 1 else n1 * rows + n * -(-keep // n1)
 
 
 def _k_stage(m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: int, scratch: np.ndarray) -> None:
@@ -401,18 +442,17 @@ def _k_stage(m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: in
     w_k2^(f2 n2).  For k1 > 1 the first pass runs, per n2, the k1-point DFT
     over the n1 blocks that hold live rows, with the inner twiddle
     w_k^(f1 n2) folded in, into ``scratch``; the last block is read only
-    for n2 < ``rem``, and two passes are chosen only where live > k2, so
-    every n2 reads a block.  The second runs the k2-point DFT over n2 as
+    for n2 < ``rem``, and ``_schedule`` takes two passes only where
+    live > k2, so every n2 reads a block.  The second runs the k2-point DFT over n2 as
     one GEMM.  Both matrices are strided views of M1, and one GEMM over
     the live rows is the second pass at k1 = 1.
     """
-    k = cells.shape[-1]
-    k2, n = k // k1, x.shape[1]
+    k2, n = cells.shape[-1] // k1, x.shape[1]
     if k1 > 1:
         n1 = -(-live // k2)  # n1 blocks holding live rows
         rem = live - (n1 - 1) * k2  # live rows of the last one
         x = x.reshape(k1, k2, n)  # [n1, n2, r]
-        y = scratch[: k * n].reshape(k2, n, k1)  # [n2, r, f1]
+        y = scratch[: x.size].reshape(k2, n, k1)  # [n2, r, f1]
         for n2 in range(k2):
             blocks = n1 if n2 < rem else n1 - 1
             # [n1, f1] = w_k^((n1 k2 + n2) f1)
@@ -558,19 +598,16 @@ def _filter_spectra(plan: RubiConvPlan, taps: np.ndarray) -> np.ndarray:
     block of m columns per group.
     """
     k, channels = plan.k, taps.shape[1]
-    widths = [group.width for group in plan.groups]
-    spectra = np.empty((sum(widths), channels, k), dtype=np.complex128)
-    scratch, span = (np.empty(max(widths) * channels * k, dtype=np.complex128) for _ in range(2))
-    col = 0
-    for index, m in enumerate(widths):
-        n_taps = min(plan.layout.filter_len, plan.groups[index].longest)
-        live = -(-n_taps // m)
-        cells = span[: live * m * channels].reshape(live * m, channels)
+    runs = _schedule(k, _filter_groups(plan.layout, plan.groups), skip_zero_rows=True)
+    spectra = np.empty((runs[-1].group.cols.stop, channels, k), dtype=np.complex128)
+    # Each filter is one chunk of its m columns, so both buffers hold the widest.
+    scratch, span = (np.empty(max(run.step for run in runs) * channels * k, dtype=np.complex128) for _ in range(2))
+    for run, twiddle, dft in zip(runs, plan.twiddles, plan.m2):
+        n_taps, m = run.group.longest, run.group.width
+        cells = span[: run.rows * m * channels].reshape(-1, channels)
         cells[:n_taps] = taps[:n_taps]
         cells[n_taps:] = 0
-        rows = span[: k * m * channels].reshape(k, m * channels)
-        _group_stages(plan, index, rows, spectra[col : col + m], slice(0, m), live, m, True, scratch)
-        col += m
+        _group_stages(run, plan.m1, twiddle, dft, span[: k * m * channels].reshape(k, -1), spectra[run.group.cols], scratch)
     return spectra.reshape(-1, k, channels)
 
 

@@ -27,8 +27,13 @@ from rubiconv import (
 from rubiconv.transform import (
     _MIN_BLOCK_FACTOR,
     _MIN_FACTOR,
+    _as_complex_pairs,
     _dft_cmuls,
     _factors,
+    _filter_groups,
+    _filter_spectra,
+    _run_cmuls,
+    _schedule,
     split_dual_real,
     transform_grid,
 )
@@ -46,6 +51,12 @@ def forward_vs_naive_worst(plan, x):
 def test_plan_fields_are_the_tables_and_maps_the_stages_read():
     fields = [f.name for f in dataclasses.fields(build_plan([4], filter_len=4, k=4))]
     assert fields == ["layout", "m1", "groups", "twiddles", "m2", "p1", "pre_ifft", "p2"]
+
+
+def test_plan_repr_shows_the_layout_and_groups_not_the_tables():
+    text = repr(build_plan([7, 40, 1, 19], filter_len=8, k=4))
+    assert "array(" not in text
+    assert "layout=PackedLayout(" in text and "groups=(WidthGroup(" in text
 
 
 def test_plan_shapes_two_docs():
@@ -627,10 +638,13 @@ def test_two_pass_block_stage_matches_one_gemm_under_both_flags():
     for plan, grid in _factored_width_cases():
         expected = transform_grid(plan, grid)
         assert rel_err(transform_grid(plan, grid, skip_zero_rows=True), expected) <= 1e-12
-        got = transform_grid(plan, grid, skip_unread_cols=True)
         live = np.array([c < g.live_cols for g, c in _group_local_cols(plan)])
-        assert np.all(got[~live] == 0)
-        assert rel_err(got[live], expected[live]) <= 1e-12
+        for got in (
+            transform_grid(plan, grid, skip_unread_cols=True),
+            transform_grid(plan, grid, skip_zero_rows=True, skip_unread_cols=True),
+        ):
+            assert np.all(got[~live] == 0)
+            assert rel_err(got[live], expected[live]) <= 1e-12
 
 
 def test_two_pass_block_stage_gemm_calls_stay_within_the_chunk_bounds(monkeypatch):
@@ -654,12 +668,114 @@ def test_chunk_size_never_changes_the_transform(monkeypatch, k):
     plan = build_plan(lengths, filter_len=8, k=k)
     shape = (k, plan.layout.total_cols, 2)
     grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    flags = ({}, {"skip_zero_rows": True}, {"skip_unread_cols": True})
+    flags = (
+        {},
+        {"skip_zero_rows": True},
+        {"skip_unread_cols": True},
+        {"skip_zero_rows": True, "skip_unread_cols": True},
+    )
     expected = [transform_grid(plan, grid, **f) for f in flags]
     for chunks in (1, 10**9):
         monkeypatch.setattr(rubiconv.transform, "_CHUNKS", chunks)
         for f, want in zip(flags, expected):
             assert rel_err(transform_grid(plan, grid, **f), want) <= 1e-14, (chunks, f)
+
+
+def _schedule_cases(k):
+    # Random documents next to two of widths 64 = 8 * 8 and 128 = 8 * 16,
+    # whose block stages factor, under a filter shorter than every
+    # document and one longer than every document.  At k = 1 the long
+    # filter makes every width 2 L - 1, so 63 and 127 take their place.
+    rng = np.random.default_rng(k)
+    channels = 3
+    for filter_len, wide in ((2, [64 * k - 1, 128 * k - 1]), (128 * k + 1, [32 * k, 64 * k])):
+        lengths = rng.integers(3, 3 * k + 4, size=int(rng.integers(1, 6))).tolist() + wide
+        plan = build_plan(lengths, filter_len=filter_len, k=k)
+        widths = {g.width for g in plan.groups}
+        assert {64, 128} <= widths or (k, filter_len) == (1, 129)
+        assert any(_factors(m, _MIN_BLOCK_FACTOR)[0] == 1 for m in widths)
+        shape = (k, plan.layout.total_cols, channels)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
+        yield plan, grid, sig, FilterBank(rng.standard_normal((filter_len, channels)))
+
+
+def _paired_taps(plan, bank):
+    """The paired filter channels' taps that ``_filter_spectra`` reads."""
+    n_taps = max(g.longest for g in _filter_groups(plan.layout, plan.groups))
+    return _as_complex_pairs(bank.taps[:n_taps])
+
+
+def _four_transforms(plan, grid, taps):
+    """(call, ``_schedule``'s arguments after k) of the full transform and convolve's three."""
+    groups = plan.groups
+    return (
+        (lambda: transform_grid(plan, grid), (groups,)),
+        (lambda: transform_grid(plan, grid, skip_zero_rows=True), (groups, True)),
+        (lambda: _filter_spectra(plan, taps), (_filter_groups(plan.layout, groups), True)),
+        (lambda: transform_grid(plan, grid, skip_unread_cols=True), (groups, False, True)),
+    )
+
+
+def _executed_runs(monkeypatch):
+    """(run, counted complex multiplications, channels) of every run ``_group_stages`` executes."""
+    executed = []
+    stages = rubiconv.transform._group_stages
+
+    def counted(run, m1, twiddle, dft, rows, work, scratch):
+        with count_ops() as counts:
+            stages(run, m1, twiddle, dft, rows, work, scratch)
+        executed.append((run, counts.complex_muls, work.shape[1]))
+
+    monkeypatch.setattr(rubiconv.transform, "_group_stages", counted)
+    return executed
+
+
+@pytest.mark.parametrize("k", [1, 4, 16, 64, 256, 512])
+def test_each_run_counts_what_the_schedule_prices_it_at(monkeypatch, k):
+    # The full transform and each of convolve's three run exactly the
+    # schedule's runs, and each run counts its price, which is never above
+    # that of one GEMM per stage.
+    for plan, grid, _, bank in _schedule_cases(k):
+        for call, args in _four_transforms(plan, grid, _paired_taps(plan, bank)):
+            executed = _executed_runs(monkeypatch)
+            call()
+            monkeypatch.undo()
+            assert [run for run, _, _ in executed] == list(_schedule(k, *args))
+            for run, counted, channels in executed:
+                assert counted == channels * _run_cmuls(k, run)
+                assert _run_cmuls(k, run) <= _run_cmuls(k, run._replace(k1=1, p=1))
+
+
+@pytest.mark.parametrize("k", [1, 16, 256, 512])
+def test_transforms_run_a_forced_schedule(monkeypatch, k):
+    # With every run forced to one GEMM per stage, transform_grid, the group
+    # filters and convolve count exactly the forced runs' costs, which
+    # convolve_cmuls sums, and stay within 1e-12 of the default schedule.
+    schedule = rubiconv.transform._schedule
+
+    def one_gemm(*args, **kwargs):
+        return tuple(run._replace(k1=1, p=1) for run in schedule(*args, **kwargs))
+
+    for plan, grid, sig, bank in _schedule_cases(k):
+        transforms = _four_transforms(plan, grid, _paired_taps(plan, bank))
+        expected = [call() for call, _ in transforms]
+        default_cmuls = rubiconv.transform.convolve_cmuls(plan.layout, sig.channels)
+        default = convolve(plan, sig, bank).values
+        monkeypatch.setattr(rubiconv.transform, "_schedule", one_gemm)
+        for (call, args), want in zip(transforms, expected):
+            with count_ops() as counts:
+                got = call()
+            assert counts.complex_muls == got.shape[-1] * sum(_run_cmuls(k, run) for run in one_gemm(k, *args))
+            assert rel_err(got, want) <= 1e-12
+        with count_ops() as counts:
+            got = convolve(plan, sig, bank).values
+        cmuls = rubiconv.transform.convolve_cmuls(plan.layout, sig.channels)
+        monkeypatch.undo()
+        assert counts.complex_muls == cmuls
+        # Width 64 = 8 * 8 runs two block passes by default.
+        assert cmuls > default_cmuls or 64 not in {g.width for g in plan.groups}
+        assert rel_err(got, default) <= 1e-12
 
 
 def test_fused_matches_unfused_reference_path():
