@@ -26,7 +26,7 @@ class OpCounts:
         standard mode and 3 in karatsuba mode, a real multiply-accumulate
         in the direct baselines contributes 1.
     built_elements: elements written while constructing layout-adaptive
-        structures (twiddles, block DFT matrices, index maps).
+        structures (twiddles, block DFT matrices, the maps' column blocks).
     """
 
     complex_muls: int = 0

@@ -51,10 +51,9 @@ def gemm(
 ) -> np.ndarray:
     """Complex matrix product a @ b.
 
-    ``a`` is one matrix; ``b`` is one matrix or a stack of them, whose
-    leading axes broadcast as in ``np.matmul``.  Strided operands, such as
-    a transposed view, go to ``matmul`` as they are, without a copy into C
-    order.
+    Each operand is one matrix or a stack of them, whose leading axes
+    broadcast as in ``np.matmul``.  Strided operands, such as a transposed
+    view, go to ``matmul`` as they are, without a copy into C order.
 
     mode "standard" spends 4 real multiplications per complex product.
     mode "karatsuba" spends 3, computing each product (a+bi)(c+di) from
@@ -67,14 +66,14 @@ def gemm(
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim < 2:
-        raise ValueError("gemm expects a 2-D left operand and a 2-D or stacked right operand")
-    if a.shape[1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("gemm expects 2-D or stacked operands")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"gemm shape mismatch: {a.shape} @ {b.shape}")
     if mode not in GEMM_MODES:
         raise ValueError(f"unknown gemm mode {mode!r}, expected one of {GEMM_MODES}")
 
-    shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
@@ -83,7 +82,7 @@ def gemm(
             f"got {out.dtype} {out.shape}"
         )
 
-    n_products = a.shape[0] * a.shape[1] * b.shape[-1] * math.prod(b.shape[:-2])
+    n_products = math.prod(shape) * a.shape[-1]
     if mode == "standard":
         counting.add_complex_muls(n_products, real_muls_each=4)
         return np.matmul(a, b, out=out)

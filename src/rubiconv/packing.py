@@ -1,4 +1,4 @@
-"""Geometry of a packed batch: padded lengths and the grid's index maps.
+"""Geometry of a packed batch: padded lengths and the moves between buffer and grid.
 
 A packed batch lays n variable-length documents end to end in one buffer.
 Each document is first extended by min(L_i, L_F) - 1 zeros so that a
@@ -14,19 +14,27 @@ columns, which the transform's block stage runs as a few stacked GEMMs.
 ``width_groups`` lists those runs, each with the rows and columns past
 which its documents hold only causal padding.
 
-Data moves between the buffer and the grid through three gathers.  ``p1``
-loads the buffer row-major per document block.  A transformed grid is
-cell-major: an (m_total, k) array whose column c is one contiguous row, so
-each document's spectrum is one contiguous run in natural frequency order.
+Data moves between the buffer and the grid in whole blocks of k
+positions, as in Bailey's four-step FFT, with no per-position index.  The
+padded buffer is m_total such blocks, and document i's span is m_i of them
+in a row.  ``p1`` loads the buffer row-major per document block: the span,
+read as (k, m_i), is the document's column block, so each run of a width
+group's documents that lie end to end in the buffer is one strided view
+and one transposing copy (a group of many short runs gathers its
+documents in chunks instead).  A transformed grid is cell-major: an
+(m_total, k) array whose column c is one contiguous row, so each
+document's spectrum is one contiguous run in natural frequency order.
 ``pre_ifft`` loads such a spectrum row-major per block, as ``p1`` loads
-the buffer, and ``p2`` copies each document's run into its whole padded
-span.  Each is an ``IndexMap`` holding one source index per destination
-element, so applying it is a single ``take``.  Building them is linear in
-the grid size, with no per-document Python loop.
+the buffer; a width group's spectra lie end to end, so it is one
+transposing copy per group.  ``p2`` copies each document's run into its
+whole padded span: grid column c goes to buffer block b[c], one block
+scatter.  Each map is an ``IndexMap`` that holds b, one int64 per grid
+column, which ``p1`` and ``p2`` share, and its width groups as ints.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -65,6 +73,26 @@ class PackedLayout:
     def n_docs(self) -> int:
         return len(self.doc_lengths)
 
+    def __repr__(self) -> str:
+        return (
+            f"PackedLayout(n_docs={self.n_docs}, k={self.k}, filter_len={self.filter_len}, "
+            f"total_cols={self.total_cols}, total_padded={self.total_padded})"
+        )
+
+    @functools.cached_property
+    def _column_blocks(self) -> np.ndarray:
+        """The buffer's block of k positions at each grid column, read-only.
+
+        Column col_offsets[i] + c holds block pos_offsets[i] / k + c.  Built
+        once per layout, so the load and unload maps share it.
+        """
+        order = np.argsort(self.col_offsets)  # documents in grid order
+        starts = np.asarray(self.pos_offsets, dtype=np.int64)[order] // self.k
+        blocks = _span_positions(starts, np.asarray(self.cols_per_doc, dtype=np.int64)[order])
+        counting.add_built_elements(len(blocks))
+        blocks.flags.writeable = False
+        return blocks
+
     # Span protocol shared with CtLayout: where each document's padded
     # values live inside the flat packed buffer.
     @property
@@ -78,24 +106,38 @@ class PackedLayout:
 
 @dataclass(frozen=True, eq=False)
 class IndexMap:
-    """A gather: flat destination element j takes flat source element src_flat[j].
+    """A move between the packed buffer and the grid in whole blocks of k positions.
 
-    Every map the library builds writes each destination exactly once, so
-    applying it is one ``take``.  Shapes are recorded so a map can be
-    applied to arrays carrying extra trailing (channel) axes.
+    The flat side, a buffer or a cell-major (m_total, k) spectrum, is read
+    as m_total blocks of k, and ``blocks[c]`` is the block that grid
+    column c holds, or None where that is block c itself.  A map onto the
+    (k, m_total) row-major grid is a load: document i's k * m_i positions,
+    read as (k, m_i), fill its column block.  ``groups`` holds each width
+    group's (m, first column, documents).  A map onto the flat buffer is a
+    scatter: row c of the cell-major source fills block ``blocks[c]``.
+    Shapes are recorded so a map can be applied to arrays carrying extra
+    trailing (channel) axes.
     """
 
     src_shape: tuple[int, ...]
     dst_shape: tuple[int, ...]
-    src_flat: np.ndarray
+    blocks: np.ndarray | None
+    groups: tuple[tuple[int, int, int], ...] = ()
+
+    @property
+    def src_flat(self) -> np.ndarray:
+        """Flat source element of each flat destination element, built on each read, read-only."""
+        src = self._move(np.arange(math.prod(self.src_shape), dtype=np.int64).reshape(self.src_shape))
+        src.flags.writeable = False
+        return src.reshape(-1)
 
     @property
     def dst_flat(self) -> np.ndarray:
         """Destination of each entry: 0, 1, 2, ..., one per destination element."""
-        return np.arange(len(self.src_flat), dtype=np.int64)
+        return np.arange(math.prod(self.dst_shape), dtype=np.int64)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Gather ``values`` into a new destination array.
+        """Move ``values`` into a new destination array.
 
         Leading axes of ``values`` must equal src_shape; any trailing axes
         are carried through unchanged.
@@ -107,9 +149,56 @@ class IndexMap:
                 f"index map expects leading shape {self.src_shape}, "
                 f"got {values.shape}"
             )
-        tail = values.shape[lead:]
-        flat = values.reshape((math.prod(self.src_shape),) + tail)
-        return flat.take(self.src_flat, axis=0).reshape(self.dst_shape + tail)
+        return self._move(values)
+
+    def _move(self, values: np.ndarray) -> np.ndarray:
+        tail = values.shape[len(self.src_shape) :]
+        out = np.empty(self.dst_shape + tail, dtype=values.dtype)
+        if len(self.dst_shape) == 1:
+            out.reshape(self.src_shape + tail)[self.blocks] = values
+        else:
+            self._load(values.reshape((-1,) + tail), out)
+        return out
+
+    def _load(self, flat: np.ndarray, out: np.ndarray) -> None:
+        """Fill the row-major grid ``out`` from the flat source, width group by width group.
+
+        ``spans[:, b]`` views the k * m positions from block b on, read as
+        (k, m); the documents of a run lie end to end, every m blocks, so a
+        run is one strided view of it.  A group whose runs average fewer
+        than _LOAD_RUN_BYTES gathers its documents in chunks of about
+        _LOAD_CHUNK_BYTES instead.
+        """
+        k, tail, (stride, *inner) = out.shape[0], flat.shape[1:], flat.strides
+        block_bytes = k * flat[:1].nbytes
+        for m, first, n_docs in self.groups:
+            cols = out[:, first : first + n_docs * m].reshape((k, n_docs, m) + tail)
+            spans = np.lib.stride_tricks.as_strided(
+                flat, (k, len(flat) // k - m + 1, m) + tail, (m * stride, k * stride, stride, *inner), writeable=False
+            )
+            if self.blocks is None:
+                cols[...] = spans[:, first : first + n_docs * m : m]
+                continue
+            starts = self.blocks[first : first + n_docs * m : m]
+            cuts = np.flatnonzero(np.diff(starts) != m) + 1
+            if cols.nbytes < _LOAD_RUN_BYTES * (len(cuts) + 1):
+                step = max(1, _LOAD_CHUNK_BYTES // (m * block_bytes))
+                for lo in range(0, n_docs, step):
+                    cols[:, lo : lo + step] = spans[:, starts[lo : lo + step]]
+                continue
+            cuts = [0, *cuts.tolist(), n_docs]
+            for lo, hi, block in zip(cuts, cuts[1:], starts[cuts[:-1]].tolist()):
+                cols[:, lo:hi] = spans[:, block : block + (hi - lo) * m : m]
+
+
+# A load copies each run of documents that lie end to end in its source
+# with one numpy call of a few microseconds.  short-docs at seed 3 has 1050
+# documents in about 520 runs of about 12 KB, and one call per run took
+# twice as long as one gather per chunk of 256 KB (a copy of the chunk's
+# spans, then one transposing copy into place), while mixed-1k's runs of
+# 128 KB and more and long-docs' one run of 16 MB went faster direct.
+_LOAD_RUN_BYTES = 1 << 15
+_LOAD_CHUNK_BYTES = 1 << 18
 
 
 def _causal_spans(
@@ -222,31 +311,13 @@ def _span_scale(layout) -> np.ndarray:
     return np.repeat(1.0 / lengths, lengths)
 
 
-def _row_major_load(
-    layout: PackedLayout, starts: Sequence[int], src_shape: tuple[int, ...]
-) -> IndexMap:
-    """Fill each document's column block row-major from its run at starts[i].
-
-    grid[r, col_offsets[i] + c] = source[starts[i] + r * m_i + c].
-    """
-    widths = np.asarray(layout.cols_per_doc, dtype=np.int64)
-    order = np.argsort(layout.col_offsets)  # documents in grid order
-    owner, local = _doc_index(widths[order])
-    doc = order[owner]  # each grid column's document
-    start = np.asarray(starts, dtype=np.int64)[doc]
-    rows = np.arange(layout.k, dtype=np.int64)[:, None]
-    src = (rows * widths[doc] + start + local).ravel()
-    counting.add_built_elements(len(src))
-    return IndexMap(src_shape, (layout.k, layout.total_cols), src)
-
-
 def build_p1(layout: PackedLayout) -> IndexMap:
     """Load map: packed padded vector -> k x m_total grid.
 
     Document i's padded span fills its column block in row-major order:
     grid[r, col_offsets[i] + c] = x[pos_offsets[i] + r * m_i + c].
     """
-    return _row_major_load(layout, layout.pos_offsets, (layout.total_padded,))
+    return IndexMap((layout.total_padded,), (layout.k, layout.total_cols), layout._column_blocks, _group_ints(layout))
 
 
 def build_p2(layout: PackedLayout) -> IndexMap:
@@ -256,9 +327,7 @@ def build_p2(layout: PackedLayout) -> IndexMap:
     tail included; callers that need zero tails clear them afterwards.
     Position pos_offsets[i] + j comes from flat cell k * col_offsets[i] + j.
     """
-    src = _span_positions(np.multiply(layout.k, layout.col_offsets), layout.padded_lengths)
-    counting.add_built_elements(len(src))
-    return IndexMap((layout.total_cols, layout.k), (layout.total_padded,), src)
+    return IndexMap((layout.total_cols, layout.k), (layout.total_padded,), layout._column_blocks)
 
 
 def build_pre_ifft_map(layout: PackedLayout) -> IndexMap:
@@ -270,5 +339,8 @@ def build_pre_ifft_map(layout: PackedLayout) -> IndexMap:
     at grid cell (f // m_i, col_offsets[i] + f mod m_i): the load ``p1``
     does, reading from the cell-major run instead of the padded span.
     """
-    starts = np.multiply(layout.k, layout.col_offsets)
-    return _row_major_load(layout, starts, (layout.total_cols, layout.k))
+    return IndexMap((layout.total_cols, layout.k), (layout.k, layout.total_cols), None, _group_ints(layout))
+
+
+def _group_ints(layout: PackedLayout) -> tuple[tuple[int, int, int], ...]:
+    return tuple((g.width, g.first_col, g.n_docs) for g in width_groups(layout))

@@ -25,7 +25,7 @@ and that array, read as (m_total, k, D), is what ``transform_grid``
 returns.  In this cell-major spectrum, frequency f = b * k + a of
 document i sits in cell (col_offsets[i] + b, a), so each document's
 spectrum is one contiguous run in natural frequency order.
-The dual-real split, the product, the channel pairing and the index maps
+The dual-real split, the product, the channel pairing and the block maps
 all read it as it is: frequency -f of a run of n frequencies sits at
 (-f) mod n, so the split reads each run reversed, through views.
 Twiddles and DFT matrices depend only on a document's width m_i, so the
@@ -197,8 +197,8 @@ class RubiConvPlan:
     def nbytes(self) -> int:
         """Bytes of every distinct array the plan holds; a view counts as its base."""
         bases = {}
-        maps = (self.p1, self.pre_ifft, self.p2)
-        for array in (self.m1, *self.twiddles, *self.m2, *(m.src_flat for m in maps)):
+        blocks = [m.blocks for m in (self.p1, self.pre_ifft, self.p2) if m.blocks is not None]
+        for array in (self.m1, *self.twiddles, *self.m2, *blocks):
             while isinstance(array.base, np.ndarray):
                 array = array.base
             bases[id(array)] = array
@@ -226,7 +226,7 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
 
     m1 = dft_matrix(k)
     p1, pre_ifft, p2 = build_p1(layout), build_pre_ifft_map(layout), build_p2(layout)
-    for table in (m1, *twiddles, *m2, p1.src_flat, pre_ifft.src_flat, p2.src_flat):
+    for table in (m1, *twiddles, *m2):
         _freeze(table)
     return RubiConvPlan(
         layout=layout,
@@ -406,11 +406,11 @@ _MIN_BLOCK_FACTOR = 8
 # documents, of at most max(m_max, ceil(m_total / _CHUNKS)) columns, m_max
 # being the widest document's width, so ``scratch`` holds one chunk of
 # either stage.  All but a group's last chunk hold more than half that
-# many columns.  A chunk makes at most k2 + 1 GEMM calls in the k-point
+# many columns.  A chunk makes at most three GEMM calls in the k-point
 # stage (one where it is one GEMM) and p + q in the block stage of a width
 # m = p * q (one where it is one GEMM), so a call makes at most
-# (k2 + 1 + s) * (2 * _CHUNKS + groups), s being the largest such p + q
-# over the groups, however many documents there are.
+# (3 + s) * (2 * _CHUNKS + groups), s being the largest such p + q over
+# the groups, however many documents there are.
 _CHUNKS = 16
 
 
@@ -441,11 +441,12 @@ def _k_stage(m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: in
     and input row a = n1 * k2 + n2, w_k^(f a) = w_k^(f1 (n1 k2 + n2)) *
     w_k2^(f2 n2).  For k1 > 1 the first pass runs, per n2, the k1-point DFT
     over the n1 blocks that hold live rows, with the inner twiddle
-    w_k^(f1 n2) folded in, into ``scratch``; the last block is read only
-    for n2 < ``rem``, and ``_schedule`` takes two passes only where
-    live > k2, so every n2 reads a block.  The second runs the k2-point DFT over n2 as
-    one GEMM.  Both matrices are strided views of M1, and one GEMM over
-    the live rows is the second pass at k1 = 1.
+    w_k^(f1 n2) folded in, into ``scratch``: one stacked GEMM over the
+    n2 < ``rem`` that read all n1 blocks and one over the rest, which read
+    n1 - 1 (``_schedule`` takes two passes only where live > k2, so every
+    n2 reads a block).  The second runs the k2-point DFT over n2 as one
+    GEMM.  Both matrices are strided views of M1, and one GEMM over the
+    live rows is the second pass at k1 = 1.
     """
     k2, n = cells.shape[-1] // k1, x.shape[1]
     if k1 > 1:
@@ -453,10 +454,11 @@ def _k_stage(m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: in
         rem = live - (n1 - 1) * k2  # live rows of the last one
         x = x.reshape(k1, k2, n)  # [n1, n2, r]
         y = scratch[: x.size].reshape(k2, n, k1)  # [n2, r, f1]
-        for n2 in range(k2):
-            blocks = n1 if n2 < rem else n1 - 1
-            # [n1, f1] = w_k^((n1 k2 + n2) f1)
-            gemm(x[:blocks, n2].T, m1[n2 : blocks * k2 : k2, :k1], out=y[n2])
+        # [n2, n1, f1] = w_k^((n1 k2 + n2) f1)
+        inner = m1[: n1 * k2].reshape(n1, k2, -1)[:, :, :k1].transpose(1, 0, 2)
+        for lo, hi, blocks in ((0, rem, n1), (rem, k2, n1 - 1)):
+            if lo < hi:
+                gemm(x[:blocks, lo:hi].transpose(1, 2, 0), inner[lo:hi, :blocks], out=y[lo:hi])
         x, live = y.reshape(k2, n * k1), k2
     # [n2, f2] = w_k^(n2 k1 f2) = w_k2^(n2 f2)
     gemm(x[:live].T, m1[: live * k1 : k1, :k2], out=cells.reshape(-1, k2))
@@ -667,12 +669,13 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np
     if zf.shape != (widths, k, channels):
         raise ValueError(f"filter spectra shape {zf.shape} does not match {(widths, k, channels)}")
     # Each group's chunk is ``piece`` pairs of ``batch`` runs, at most
-    # ``fit`` pairs; the buffers fit the largest chunk.
+    # ``fit`` pairs, and its f = 0 chunk one frequency of up to ``fit``
+    # runs; the buffers fit the largest chunk.
     fit = max(1, _SPLIT_CHUNK_BYTES // (_SPLIT_PAIR_BYTES * channels))
     pieces = [min(max(1, k * group.width // 2), fit) for group in plan.groups]
     batches = [min(group.n_docs, fit // piece) for group, piece in zip(plan.groups, pieces)]
-    size = max(piece * batch for piece, batch in zip(pieces, batches)) * channels
-    u_buf, p_buf, q_buf = (np.empty(size, dtype=np.complex128) for _ in range(3))
+    size = max(max(piece * batch, min(group.n_docs, fit)) for group, piece, batch in zip(plan.groups, pieces, batches))
+    u_buf, p_buf, q_buf = (np.empty(size * channels, dtype=np.complex128) for _ in range(3))
     a_buf, b_buf = (np.empty(max(pieces) * channels, dtype=np.complex128) for _ in range(2))
     counting.add_complex_muls(2 * (z.size + zf.size), real_muls_each=4)
     col = 0
@@ -683,13 +686,13 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np
         col += group.width
         # f = 0, its own mirror, goes alone, then the pairs 1 <= f <= n/2 in pieces.
         ends = [*range(1, n // 2 + 1, piece), n // 2 + 1]
-        views = [(slice(lo, hi), slice(n - lo, n - hi, -1)) for lo, hi in zip(ends, ends[1:])]
-        for low, high in [(slice(0, 1), slice(0, 1)), *views]:
+        views = [(slice(lo, hi), slice(n - lo, n - hi, -1), batch) for lo, hi in zip(ends, ends[1:])]
+        for low, high, docs in [(slice(0, 1), slice(0, 1), min(group.n_docs, fit)), *views]:
             w = low.stop - low.start
             a, b, t = (buf[: w * channels].reshape(1, w, channels) for buf in (a_buf, b_buf, u_buf))
             _pair_filter(n, fz[:, low], fz[:, high], a, b, t)
-            for d in range(0, group.n_docs, batch):
-                run = runs[d : d + batch]
+            for d in range(0, group.n_docs, docs):
+                run = runs[d : d + docs]
                 u, p, q = (buf[: len(run) * w * channels].reshape(-1, w, channels) for buf in (u_buf, p_buf, q_buf))
                 _split_pair(run[:, low], run[:, high], a, b, u, p, q)
     return z

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,9 +141,21 @@ def test_gemm_stacked_right_operand(mode):
     assert counts.real_muls == (3 if mode == "karatsuba" else 4) * counts.complex_muls
 
 
-def test_gemm_rejects_stacked_left_operand():
-    with pytest.raises(ValueError):
-        gemm(np.ones((2, 2, 2)), np.ones((2, 2)))
+@pytest.mark.parametrize("mode", ["standard", "karatsuba"])
+def test_gemm_stacked_left_operand(mode):
+    # Both operands stack, and their leading axes broadcast as in np.matmul.
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((7, 1, 3, 4)) + 1j * rng.standard_normal((7, 1, 3, 4))
+    b = rng.standard_normal((2, 4, 5)) + 1j * rng.standard_normal((2, 4, 5))
+    for left, right, shape in ((a, b, (7, 2, 3, 5)), (a[:, 0], b[0], (7, 3, 5))):
+        with count_ops() as counts:
+            out = gemm(left, right, mode)
+        assert out.shape == shape
+        assert rel_err(out, np.matmul(left, right)) <= 1e-12
+        assert counts.complex_muls == math.prod(shape) * 4
+    for left, right in ((np.ones(2), np.ones((2, 2))), (np.ones((2, 2)), np.ones(2))):
+        with pytest.raises(ValueError):
+            gemm(left, right)
 
 
 @pytest.mark.parametrize("mode", ["standard", "karatsuba"])

@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+import rubiconv.packing
 from conftest import random_doc_lengths
 from rubiconv import (
+    FilterBank,
+    PackedSignal,
     build_ct_layout,
     build_layout,
     build_operator,
     build_plan,
+    convolve,
     dft_matrix,
     oracle_convolve,
 )
@@ -266,18 +272,80 @@ def test_index_maps_in_bounds_and_write_once():
             assert len(np.unique(index_map.dst_flat)) == len(index_map.dst_flat)
 
 
-def test_apply_matches_scatter_on_random_bijections():
+def _gather_formula(layout, name: str) -> np.ndarray:
+    """Flat source element of each flat destination element of map ``name``, from its definition.
+
+    p1 and pre_ifft fill document i's column block row-major from its run
+    at starts[i]: grid[r, col_offsets[i] + c] = source[starts[i] + r * m_i + c],
+    starts being pos_offsets for p1 and k * col_offsets for pre_ifft.  p2
+    fills position pos_offsets[i] + j from flat cell k * col_offsets[i] + j.
+    """
+    k = layout.k
+    if name == "p2":
+        return np.concatenate([k * c + np.arange(p) for c, p in zip(layout.col_offsets, layout.padded_lengths)])
+    starts = layout.pos_offsets if name == "p1" else [k * c for c in layout.col_offsets]
+    grid = np.empty((k, layout.total_cols), dtype=np.int64)
+    for start, col, m in zip(starts, layout.col_offsets, layout.cols_per_doc):
+        grid[:, col : col + m] = start + np.arange(k * m).reshape(k, m)
+    return grid.ravel()
+
+
+# A load copies each run of documents that lie end to end in its source, or
+# gathers a width group's documents in chunks; each case forces one way.
+@pytest.mark.parametrize(
+    "run_bytes, chunk_bytes", [(0, None), (1 << 62, None), (1 << 62, 1)], ids=["runs", "chunks", "one-per-chunk"]
+)
+def test_maps_apply_and_src_flat_match_the_gather_formulas(monkeypatch, run_bytes, chunk_bytes):
+    monkeypatch.setattr(rubiconv.packing, "_LOAD_RUN_BYTES", run_bytes)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(rubiconv.packing, "_LOAD_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-        size = shape[0] * shape[1]
-        index_map = IndexMap(shape, shape, rng.permutation(size))
-        values = rng.standard_normal(shape + (3,))
-        expected = np.zeros_like(values).reshape(size, 3)
-        expected[index_map.dst_flat] = values.reshape(size, 3)[index_map.src_flat]
-        assert np.array_equal(index_map.apply(values), expected.reshape(values.shape))
-        # A column-major grid holding the same values gives the same result.
-        column_major = np.ascontiguousarray(values.swapaxes(0, 1)).swapaxes(0, 1)
-        assert np.array_equal(index_map.apply(column_major), expected.reshape(values.shape))
-        with pytest.raises(ValueError):
-            index_map.apply(values[1:])
+    builders = {"p1": build_p1, "pre_ifft": build_pre_ifft_map, "p2": build_p2}
+    for _ in range(8):
+        k = int(rng.choice([1, 2, 4, 16, 64]))
+        lengths = random_doc_lengths(rng, max_docs=12, max_len=3 * k + 5)
+        layout = build_layout(lengths, int(rng.choice([1, 3, 64])), k)
+        for name, build in builders.items():
+            index_map = build(layout)
+            src = _gather_formula(layout, name)
+            assert np.array_equal(index_map.src_flat, src), name
+            size = math.prod(index_map.src_shape)
+            for tail in ((), (3,), (1, 5)):
+                for dtype in (float, complex, object):
+                    flat = rng.standard_normal((size,) + tail).astype(dtype)
+                    if dtype is complex:
+                        flat += 1j * rng.standard_normal(flat.shape)
+                    values = flat.reshape(index_map.src_shape + tail)
+                    expected = flat[src].reshape(index_map.dst_shape + tail)
+                    out = index_map.apply(values)
+                    assert out.dtype == flat.dtype and np.array_equal(out, expected), (name, tail, dtype)
+                    # A column-major source holding the same values gives the same result.
+                    assert np.array_equal(index_map.apply(np.asfortranarray(values)), expected)
+            with pytest.raises(ValueError):
+                index_map.apply(values[1:])
+        # An odd D unloads the inverse's output without its zero partner: a strided view.
+        cells = rng.standard_normal((layout.total_cols, k, 4))[..., :3]
+        expected = cells.reshape(-1, 3)[_gather_formula(layout, "p2")]
+        assert np.array_equal(build_p2(layout).apply(cells), expected)
+
+
+def test_reading_src_flat_inside_apply_adds_no_apply_call(monkeypatch):
+    # A tracer wraps IndexMap.apply and reads src_flat in the wrapper; that
+    # read must not call apply itself, or the trace counts a map twice.
+    rng = np.random.default_rng(7)
+    lengths = [7, 40, 1, 19, 3, 3]
+    plan = build_plan(lengths, filter_len=8, k=4)
+    calls = []
+    apply = IndexMap.apply
+
+    def tracing(index_map, values):
+        out = apply(index_map, values)
+        calls.append(id(index_map))
+        flat = values.reshape((math.prod(index_map.src_shape),) + values.shape[len(index_map.src_shape) :])
+        assert np.array_equal(out.reshape((-1,) + flat.shape[1:]), flat[index_map.src_flat])
+        return out
+
+    monkeypatch.setattr(IndexMap, "apply", tracing)
+    sig = PackedSignal.from_documents(plan.layout, [rng.standard_normal((n, 3)) for n in lengths])
+    convolve(plan, sig, FilterBank(rng.standard_normal((8, 3))))
+    assert sorted(calls) == sorted(id(getattr(plan, field)) for field in ("p1", "pre_ifft", "p2"))

@@ -56,7 +56,11 @@ def test_plan_fields_are_the_tables_and_maps_the_stages_read():
 def test_plan_repr_shows_the_layout_and_groups_not_the_tables():
     text = repr(build_plan([7, 40, 1, 19], filter_len=8, k=4))
     assert "array(" not in text
-    assert "layout=PackedLayout(" in text and "groups=(WidthGroup(" in text
+    assert "layout=PackedLayout(n_docs=4, k=4, filter_len=8, total_cols=" in text and "groups=(WidthGroup(" in text
+    # A thousand documents print as a summary, not as per-document tuples.
+    lengths = np.random.default_rng(44).geometric(1 / 32, size=1050).tolist()
+    text = repr(build_plan(lengths, filter_len=64, k=64))
+    assert "n_docs=1050" in text and len(text) <= 2000
 
 
 def test_plan_shapes_two_docs():
@@ -98,7 +102,8 @@ def test_equal_width_documents_share_tables():
 def test_more_documents_of_a_present_width_leave_the_tables_unchanged():
     def table_bytes(lengths):
         plan = build_plan(lengths, filter_len=4, k=16)
-        return plan.nbytes - sum(m.src_flat.nbytes for m in (plan.p1, plan.pre_ifft, plan.p2))
+        maps = {id(m.blocks): m.blocks for m in (plan.p1, plan.pre_ifft, plan.p2) if m.blocks is not None}
+        return plan.nbytes - sum(blocks.nbytes for blocks in maps.values())
 
     base = [5, 60, 7, 3, 58]
     assert table_bytes(base + [6, 59] * 20) == table_bytes(base) > 0
@@ -423,6 +428,25 @@ def test_split_chunks_of_mirror_pairs_match_a_single_chunk(monkeypatch):
     assert odd >= {3, 9, 33}
 
 
+def test_split_takes_f0_of_as_many_runs_as_a_chunk_holds(monkeypatch):
+    # f = 0 is one frequency per run, so its chunk is sized by that width:
+    # up to a chunk's pairs' worth of runs in one call, not the batch of
+    # runs that the group's pieces of eight pairs allow (409 at D = 4).
+    rng = np.random.default_rng(45)
+    plan = build_plan([5] * 1000, filter_len=4, k=16)  # one width group, n = 16
+    shape = (plan.layout.total_cols, plan.k, 2)
+    shapes = []
+    split = rubiconv.transform._split_pair
+
+    def recording(low, *args):
+        shapes.append(low.shape[:2])
+        return split(low, *args)
+
+    monkeypatch.setattr(rubiconv.transform, "_split_pair", recording)
+    split_dual_real(plan, rng.standard_normal(shape) + 0j, _random_filter_spectra(rng, plan, 2))
+    assert shapes[0] == (1000, 1) and max(s[0] for s in shapes[1:]) < 1000
+
+
 def test_split_rejects_a_spectrum_of_another_shape():
     plan = build_plan([7, 40, 1], filter_len=8, k=4)
     m_total, k = plan.layout.total_cols, plan.k
@@ -492,12 +516,12 @@ def _recorded_gemm_calls(monkeypatch, plan):
     return calls
 
 
-def _check_chunk_bounds(plan, calls, k2):
+def _check_chunk_bounds(plan, calls):
     # The call bound and chunk width of ``rubiconv.transform._CHUNKS``'s notes.
     chunks = rubiconv.transform._CHUNKS
     chunk = max(plan.groups[-1].width, -(-plan.layout.total_cols // chunks))
     block_calls = max(p + q if p > 1 else 1 for p, q in (_factors(g.width, _MIN_BLOCK_FACTOR) for g in plan.groups))
-    assert len(calls) <= (k2 + 1 + block_calls) * (2 * chunks + len(plan.groups))
+    assert len(calls) <= (3 + block_calls) * (2 * chunks + len(plan.groups))
     blocks = [b for k_stage, b in calls if not k_stage]
     assert max(math.prod(b[:-1]) for b in blocks) <= chunk
 
@@ -515,7 +539,7 @@ def test_block_stage_stacks_whole_documents_per_chunk(monkeypatch):
     calls = _recorded_gemm_calls(monkeypatch, plan)
     shape = (k, plan.layout.total_cols, channels)
     transform_grid(plan, rng.standard_normal(shape) + 0j)
-    _check_chunk_bounds(plan, calls, k2=1)
+    _check_chunk_bounds(plan, calls)
 
 
 def _group_local_cols(plan):
@@ -591,7 +615,7 @@ def test_two_pass_stage_takes_many_columns_per_chunk_and_only_where_it_saves(mon
     got = transform_grid(plan, grid, skip_zero_rows=True)
     k_stage = [b for is_k_stage, b in calls if is_k_stage]
     assert k_stage[0] == (10, k) and all(shape[0] <= k2 for shape in k_stage[1:])
-    _check_chunk_bounds(plan, calls, k2)
+    _check_chunk_bounds(plan, calls)
     monkeypatch.undo()
     assert rel_err(got, transform_grid(plan, grid)) <= 1e-12
 
@@ -656,7 +680,7 @@ def test_two_pass_block_stage_gemm_calls_stay_within_the_chunk_bounds(monkeypatc
         monkeypatch.undo()
         p, q = _factors(plan.groups[-1].width, _MIN_BLOCK_FACTOR)
         assert sum(b[-2] in (p, q) for is_k_stage, b in calls if not is_k_stage) == p + q
-        _check_chunk_bounds(plan, calls, k2=1)
+        _check_chunk_bounds(plan, calls)
 
 
 @pytest.mark.parametrize("k", [1, 4, 64, 256, 512])
@@ -1034,9 +1058,11 @@ def test_plan_bytes_bounded_and_maps_are_permutations():
         bound = (
             16 * k * k
             + 16 * sum(g.width * g.width + k * g.width for g in plan.groups)
-            + 24 * layout.total_padded
+            + 8 * layout.total_cols
         )
         assert sum(a.nbytes for a in plan_arrays(plan)) <= bound
+        tables = {id(a) for a in (plan.m1, *plan.twiddles, *plan.m2)}
+        assert all(a.size <= layout.total_cols for a in plan_arrays(plan) if id(a) not in tables)
         for index_map in (plan.p1, plan.pre_ifft, plan.p2):
             src_size = math.prod(index_map.src_shape)
             assert len(index_map.src_flat) == math.prod(index_map.dst_shape) == src_size
@@ -1056,6 +1082,8 @@ def test_plan_arrays_are_read_only():
     assert not any(a.flags.writeable for a in plan_arrays(plan))
     with pytest.raises(ValueError):
         plan.twiddles[0][0, 0] = 0
+    with pytest.raises(ValueError):
+        plan.p1.blocks[0] = 0
     with pytest.raises(ValueError):
         plan.p1.src_flat[0] = 0
 
