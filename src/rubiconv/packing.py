@@ -11,8 +11,8 @@ The buffer keeps the documents in the caller's order; the grid does not.
 Its column blocks are sorted by width m_i, stably, so documents of equal
 width keep their order and every width group is one contiguous run of
 columns, which the transform's block stage runs as a few stacked GEMMs.
-``width_groups`` lists those runs, each with the rows and columns past
-which its documents hold only causal padding.
+``PackedLayout.groups`` lists those runs, each with the rows and columns
+past which its documents hold only causal padding.
 
 Data moves between the buffer and the grid in whole blocks of k
 positions, as in Bailey's four-step FFT, with no per-position index.  The
@@ -29,14 +29,14 @@ the buffer; a width group's spectra lie end to end, so it is one
 transposing copy per group.  ``p2`` copies each document's run into its
 whole padded span: grid column c goes to buffer block b[c], one block
 scatter.  Each map is an ``IndexMap`` that holds b, one int64 per grid
-column, which ``p1`` and ``p2`` share, and its width groups as ints.
+column, which ``p1`` and ``p2`` share, and the layout's width groups.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +45,31 @@ from . import counting
 from .linalg import _whole
 
 DEFAULT_K = 256  # grid rows, the k-point DFT size, when a caller gives no k
+
+
+class WidthGroup(NamedTuple):
+    """One run of equal-width column blocks in the width-sorted grid.
+
+    Besides where the run sits, a group records its longest document and
+    two bounds that follow from it for every document i in it.  A
+    row-major load puts positions t < L_i in rows r < ceil(L_i / m), so
+    rows at and past ``live_rows`` hold only padding.  A transformed grid
+    holds time b * k + a at cell (a, b) of a block, so times t < L_i sit
+    in columns b < ceil(L_i / k), and columns at and past ``live_cols``
+    hold only padding tails.
+    """
+
+    width: int  # m, columns per document
+    first_col: int  # grid column where the run starts
+    n_docs: int
+    live_rows: int  # max ceil(L_i / m) over the run
+    live_cols: int  # max ceil(L_i / k) over the run
+    longest: int  # max L_i over the run
+
+    @property
+    def cols(self) -> slice:
+        """The run's grid columns."""
+        return slice(self.first_col, self.first_col + self.width * self.n_docs)
 
 
 @dataclass(frozen=True)
@@ -56,7 +81,9 @@ class PackedLayout:
     of the k x total_cols grid, starting at column col_offsets[i].  Column
     blocks are in width order (stable in document order), while the span
     of document i in the packed buffer starts at pos_offsets[i], in
-    document order.
+    document order.  ``groups`` holds the grid's width groups, in grid
+    order; they follow from the fields above, so equality and hashing
+    leave them out.
     """
 
     doc_lengths: tuple[int, ...]
@@ -68,6 +95,7 @@ class PackedLayout:
     total_cols: int
     total_padded: int
     pos_offsets: tuple[int, ...]
+    groups: tuple[WidthGroup, ...] = field(compare=False)
 
     @property
     def n_docs(self) -> int:
@@ -112,8 +140,8 @@ class IndexMap:
     as m_total blocks of k, and ``blocks[c]`` is the block that grid
     column c holds, or None where that is block c itself.  A map onto the
     (k, m_total) row-major grid is a load: document i's k * m_i positions,
-    read as (k, m_i), fill its column block.  ``groups`` holds each width
-    group's (m, first column, documents).  A map onto the flat buffer is a
+    read as (k, m_i), fill its column block, one width group at a time
+    (``groups``, the layout's).  A map onto the flat buffer is a
     scatter: row c of the cell-major source fills block ``blocks[c]``.
     Shapes are recorded so a map can be applied to arrays carrying extra
     trailing (channel) axes.
@@ -122,7 +150,7 @@ class IndexMap:
     src_shape: tuple[int, ...]
     dst_shape: tuple[int, ...]
     blocks: np.ndarray | None
-    groups: tuple[tuple[int, int, int], ...] = ()
+    groups: tuple[WidthGroup, ...] = ()
 
     @property
     def src_flat(self) -> np.ndarray:
@@ -171,7 +199,8 @@ class IndexMap:
         """
         k, tail, (stride, *inner) = out.shape[0], flat.shape[1:], flat.strides
         block_bytes = k * flat[:1].nbytes
-        for m, first, n_docs in self.groups:
+        for group in self.groups:
+            m, first, n_docs = group.width, group.first_col, group.n_docs
             cols = out[:, first : first + n_docs * m].reshape((k, n_docs, m) + tail)
             spans = np.lib.stride_tricks.as_strided(
                 flat, (k, len(flat) // k - m + 1, m) + tail, (m * stride, k * stride, stride, *inner), writeable=False
@@ -231,11 +260,17 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
 
     padded = tuple(k * -(-span // k) for span in causal)
     cols = tuple(p // k for p in padded)
-    # Column blocks in width order; equal widths keep document order.
-    widths = np.asarray(cols, dtype=np.int64)
-    order = np.argsort(widths, kind="stable")
-    col_offsets = np.empty_like(widths)
-    col_offsets[order] = np.cumsum(widths[order]) - widths[order]
+    # Column blocks in width order; equal widths keep document order, and
+    # each width group is a run of equal widths in that order.
+    order = np.argsort(cols, kind="stable")  # documents in grid order
+    widths = np.asarray(cols, dtype=np.int64)[order]
+    firsts = np.cumsum(widths) - widths
+    col_offsets = np.empty_like(firsts)
+    col_offsets[order] = firsts
+    starts = np.flatnonzero(np.diff(widths, prepend=0))
+    longest = np.maximum.reduceat(np.asarray(lengths, dtype=np.int64)[order], starts)
+    counts, m = np.diff(starts, append=len(order)), widths[starts]
+    groups = np.column_stack((m, firsts[starts], counts, -(-longest // m), -(-longest // k), longest))
     pos_offsets = tuple(int(x) for x in np.cumsum((0,) + padded[:-1]))
     return PackedLayout(
         doc_lengths=lengths,
@@ -247,47 +282,7 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
         total_cols=sum(cols),
         total_padded=sum(padded),
         pos_offsets=pos_offsets,
-    )
-
-
-class WidthGroup(NamedTuple):
-    """One run of equal-width column blocks in the width-sorted grid.
-
-    Besides where the run sits, a group records its longest document and
-    two bounds that follow from it for every document i in it.  A
-    row-major load puts positions t < L_i in rows r < ceil(L_i / m), so
-    rows at and past ``live_rows`` hold only padding.  A transformed grid
-    holds time b * k + a at cell (a, b) of a block, so times t < L_i sit
-    in columns b < ceil(L_i / k), and columns at and past ``live_cols``
-    hold only padding tails.
-    """
-
-    width: int  # m, columns per document
-    first_col: int  # grid column where the run starts
-    n_docs: int
-    live_rows: int  # max ceil(L_i / m) over the run
-    live_cols: int  # max ceil(L_i / k) over the run
-    longest: int  # max L_i over the run
-
-    @property
-    def cols(self) -> slice:
-        """The run's grid columns."""
-        return slice(self.first_col, self.first_col + self.width * self.n_docs)
-
-
-def width_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
-    """The grid's width groups, in grid order."""
-    widths = np.asarray(layout.cols_per_doc, dtype=np.int64)
-    lengths = np.asarray(layout.doc_lengths, dtype=np.int64)
-    order = np.argsort(layout.col_offsets)  # documents in grid order
-    widths, lengths = widths[order], lengths[order]
-    starts = np.flatnonzero(np.diff(widths, prepend=0))
-    counts = np.diff(starts, append=len(order))
-    longest = np.maximum.reduceat(lengths, starts)
-    live_rows, live_cols = -(-longest // widths[starts]), -(-longest // layout.k)
-    return tuple(
-        WidthGroup(int(widths[s]), layout.col_offsets[doc], int(n), int(r), int(b), int(n_max))
-        for s, doc, n, r, b, n_max in zip(starts, order[starts], counts, live_rows, live_cols, longest)
+        groups=tuple(WidthGroup(*group) for group in groups.tolist()),
     )
 
 
@@ -317,7 +312,7 @@ def build_p1(layout: PackedLayout) -> IndexMap:
     Document i's padded span fills its column block in row-major order:
     grid[r, col_offsets[i] + c] = x[pos_offsets[i] + r * m_i + c].
     """
-    return IndexMap((layout.total_padded,), (layout.k, layout.total_cols), layout._column_blocks, _group_ints(layout))
+    return IndexMap((layout.total_padded,), (layout.k, layout.total_cols), layout._column_blocks, layout.groups)
 
 
 def build_p2(layout: PackedLayout) -> IndexMap:
@@ -339,8 +334,4 @@ def build_pre_ifft_map(layout: PackedLayout) -> IndexMap:
     at grid cell (f // m_i, col_offsets[i] + f mod m_i): the load ``p1``
     does, reading from the cell-major run instead of the padded span.
     """
-    return IndexMap((layout.total_cols, layout.k), (layout.k, layout.total_cols), None, _group_ints(layout))
-
-
-def _group_ints(layout: PackedLayout) -> tuple[tuple[int, int, int], ...]:
-    return tuple((g.width, g.first_col, g.n_docs) for g in width_groups(layout))
+    return IndexMap((layout.total_cols, layout.k), (layout.k, layout.total_cols), None, layout.groups)

@@ -136,12 +136,12 @@ and keeping every column.  A convolution over D channels counts
 (``convolve_cmuls``)
 
     ceil(D/2) * (sum_w c_w K(r_w) + k m_total + k * sum_i B(m_i, m_i)
-                 + sum_w (m_w K(r'_w) + k m_w + k B(m_w, m_w) + 2 k m_w)
+                 + sum_w (m_w K(r'_w) + k m_w + k B(m_w, m_w) + k m_w)
                  + m_total K(k) + k m_total + k * sum_i B(m_i, b_w(i))
                  + 2 k m_total)
 
 complex multiplications: the pruned, paired forward; per group the
-filter's transform and two per filter cell for the split's A and B (see
+filter's transform and one per filter cell for the split's A and B (see
 ``split_dual_real``); the paired, pruned inverse; and per cell and paired
 channel two for the split and product, conj(z) * A + conj(r) * B.
 """
@@ -165,7 +165,6 @@ from .packing import (
     build_p1,
     build_p2,
     build_pre_ifft_map,
-    width_groups,
 )
 from .signal import FilterBank, PackedSignal, _check_convolution_args, embed_filter
 from .signal import _conj_inverse, _two_transform_convolve
@@ -182,7 +181,6 @@ class RubiConvPlan:
 
     layout: PackedLayout
     m1: np.ndarray = field(repr=False)  # (k, k) first-stage DFT
-    groups: tuple[WidthGroup, ...]  # the grid's width groups, with their live rows and columns
     twiddles: tuple[np.ndarray, ...] = field(repr=False)  # per group, (m, k) with w_{k*m}^(b*a) at [b, a]
     m2: tuple[np.ndarray, ...] = field(repr=False)  # per group, the (m, m) second-stage DFT
     p1: IndexMap = field(repr=False)  # packed vector -> grid, row-major per block
@@ -194,15 +192,16 @@ class RubiConvPlan:
         return self.layout.k
 
     @property
+    def groups(self) -> tuple[WidthGroup, ...]:
+        """The grid's width groups, with their live rows and columns."""
+        return self.layout.groups
+
+    @property
     def nbytes(self) -> int:
-        """Bytes of every distinct array the plan holds; a view counts as its base."""
-        bases = {}
+        """Bytes of every distinct array the plan holds; the maps share one block array."""
         blocks = [m.blocks for m in (self.p1, self.pre_ifft, self.p2) if m.blocks is not None]
-        for array in (self.m1, *self.twiddles, *self.m2, *blocks):
-            while isinstance(array.base, np.ndarray):
-                array = array.base
-            bases[id(array)] = array
-        return sum(array.nbytes for array in bases.values())
+        arrays = {id(array): array for array in (self.m1, *self.twiddles, *self.m2, *blocks)}
+        return sum(array.nbytes for array in arrays.values())
 
 
 def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) -> RubiConvPlan:
@@ -214,10 +213,9 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
     depends only on k, although every plan builds its own.
     """
     layout = build_layout(doc_lengths, filter_len, k)
-    groups = width_groups(layout)
     rows = np.arange(k, dtype=np.int64)[None, :]
     twiddles, m2 = [], []
-    for group in groups:
+    for group in layout.groups:
         padded = k * group.width
         cols = np.arange(group.width, dtype=np.int64)[:, None]
         twiddles.append(np.exp((2j * np.pi / padded) * ((cols * rows) % padded)))
@@ -227,11 +225,10 @@ def build_plan(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) 
     m1 = dft_matrix(k)
     p1, pre_ifft, p2 = build_p1(layout), build_pre_ifft_map(layout), build_p2(layout)
     for table in (m1, *twiddles, *m2):
-        _freeze(table)
+        table.flags.writeable = False
     return RubiConvPlan(
         layout=layout,
         m1=m1,
-        groups=groups,
         twiddles=tuple(twiddles),
         m2=tuple(m2),
         p1=p1,
@@ -244,20 +241,13 @@ def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     """Complex multiplications one fused ``convolve`` call counts (see the module notes).
 
     Its three transforms' runs (``_schedule``) and the split's two per
-    spectrum and filter cell, per paired channel.
+    spectrum cell and one per filter cell, per paired channel.
     """
-    k, groups = layout.k, width_groups(layout)
-    filters = _schedule(k, _filter_groups(layout, groups), skip_zero_rows=True)
+    k, groups = layout.k, layout.groups
+    filters = _schedule(k, _filter_groups(layout), skip_zero_rows=True)
     runs = _schedule(k, groups, skip_zero_rows=True) + filters + _schedule(k, groups, skip_unread_cols=True)
-    split = 2 * k * (layout.total_cols + sum(g.width for g in groups))
+    split = k * (2 * layout.total_cols + sum(g.width for g in groups))
     return (channels + 1) // 2 * (sum(_run_cmuls(k, run) for run in runs) + split)
-
-
-def _freeze(array: np.ndarray) -> None:
-    """Make an array, and every array whose memory it views, read-only."""
-    while isinstance(array, np.ndarray):
-        array.flags.writeable = False
-        array = array.base
 
 
 def transform_grid(
@@ -278,7 +268,8 @@ def transform_grid(
     The second DFT is applied to stacks of equal-width blocks, never as a
     dense matrix, so document blocks stay bit-level independent.
 
-    Two flags prune the causal padding, per width group (``plan.groups``).
+    Two flags prune the causal padding, per width group of the layout
+    (``plan.groups``).
     ``skip_zero_rows`` promises that every document's input is zero at and
     past its length L_i: the k-point stage then reads only the group's
     first ``live_rows`` grid rows, and the rows past them are never read.
@@ -373,13 +364,14 @@ def _schedule(
     return tuple(runs)
 
 
-def _filter_groups(layout: PackedLayout, groups: Sequence[WidthGroup]) -> tuple[WidthGroup, ...]:
+def _filter_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
     """Each width group's filter as the one document of a group of its width.
 
     Group w's filter has n_w = min(L_F, longest) taps (see the module
     notes), and the filters' grid holds one block of m columns per group,
     in group order.
     """
+    groups = layout.groups
     firsts = np.cumsum([0] + [g.width for g in groups]).tolist()
     taps = [min(layout.filter_len, g.longest) for g in groups]
     return tuple(WidthGroup(g.width, c, 1, -(-n // g.width), -(-n // layout.k), n) for g, c, n in zip(groups, firsts, taps))
@@ -600,7 +592,7 @@ def _filter_spectra(plan: RubiConvPlan, taps: np.ndarray) -> np.ndarray:
     block of m columns per group.
     """
     k, channels = plan.k, taps.shape[1]
-    runs = _schedule(k, _filter_groups(plan.layout, plan.groups), skip_zero_rows=True)
+    runs = _schedule(k, _filter_groups(plan.layout), skip_zero_rows=True)
     spectra = np.empty((runs[-1].group.cols.stop, channels, k), dtype=np.complex128)
     # Each filter is one chunk of its m columns, so both buffers hold the widest.
     scratch, span = (np.empty(max(run.step for run in runs) * channels * k, dtype=np.complex128) for _ in range(2))
@@ -645,7 +637,10 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np
     y = z[n - f] gives both of its outputs,
     out[f] = conj(x) * A + y * B and out[n - f] = conj(conj(x) * B + y * A),
     with A and B at f: four multiplies per pair.  f = 0 is its own mirror,
-    and so is f = n/2 of an even n.
+    and so is f = n/2 of an even n.  ``_pair_filter`` forms A and B with
+    two multiplies per pair.  So the split counts two multiplies per
+    spectrum cell and one per filter cell, and a cell that is its own
+    mirror, run as a pair of one cell, counts once on both sides.
 
     The result is written over ``spectrum`` and returned when that is a
     C-contiguous complex128 array, as ``transform_grid`` returns; any other
@@ -677,7 +672,7 @@ def split_dual_real(plan: RubiConvPlan, spectrum: np.ndarray, filter_spectra: np
     size = max(max(piece * batch, min(group.n_docs, fit)) for group, piece, batch in zip(plan.groups, pieces, batches))
     u_buf, p_buf, q_buf = (np.empty(size * channels, dtype=np.complex128) for _ in range(3))
     a_buf, b_buf = (np.empty(max(pieces) * channels, dtype=np.complex128) for _ in range(2))
-    counting.add_complex_muls(2 * (z.size + zf.size), real_muls_each=4)
+    counting.add_complex_muls(2 * z.size + zf.size, real_muls_each=4)
     col = 0
     for group, piece, batch in zip(plan.groups, pieces, batches):
         n = k * group.width

@@ -331,3 +331,36 @@ def test_main_leaves_other_io_errors_of_the_run_as_they_are(monkeypatch):
     monkeypatch.setattr(bench, "run_bench", fail)
     with pytest.raises(OSError, match="disk went away"):
         bench.main(["--count-only"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (["--seq-len", "0"], "all dimensions must be >= 1"),
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--warmup", "-1"], "warmup must be >= 0"),
+        (["--geometric-mean", "0.5"], "geometric mean must be >= 1"),
+        (["--fixed-docs", "0"], "fixed doc count 0 not in [1, 4096]"),
+        (["--seq-len", "64", "--fixed-docs", "65"], "fixed doc count 65 not in [1, 64]"),
+        # The CLI's choices and source flags cannot reach these.
+        (lambda: BenchConfig("winograd", 64, 1, 1), "unknown algorithm 'winograd'"),
+        (lambda: sample_packing(DocLenDistribution((3,)), 0), "target_total must be >= 1"),
+        (lambda: resolve_doc_lengths(small_config(doclen_source="poisson:3")), "unknown doclen source 'poisson:3'"),
+    ],
+)
+def test_bad_input_is_a_value_error_and_main_exits_2(capsys, call, message):
+    if callable(call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(message)
+        return
+    assert bench.main(["--count-only", *call]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_main_writes_the_csv_to_stdout(capsys):
+    assert bench.main(["--count-only", "--seq-len", "64", "--fixed-docs", "2"]) == 0
+    captured = capsys.readouterr()
+    header, row = captured.out.splitlines()
+    assert header == ",".join(bench.CSV_COLUMNS) and row.startswith("rubiconv,") and captured.err == ""

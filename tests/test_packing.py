@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from rubiconv import (
     dft_matrix,
     oracle_convolve,
 )
-from rubiconv.packing import IndexMap, build_p1, build_p2, build_pre_ifft_map, width_groups
+from rubiconv.packing import IndexMap, build_p1, build_p2, build_pre_ifft_map
 
 
 def test_layout_single_doc_padding():
@@ -120,7 +121,11 @@ def test_width_groups_tile_the_grid_and_bound_each_document():
     for _ in range(30):
         k = int(rng.choice([1, 2, 4, 16, 256]))
         layout = build_layout(random_doc_lengths(rng), int(rng.choice([1, 7, 64, 512])), k)
-        groups = width_groups(layout)
+        groups = layout.groups
+        # The load maps run the layout's groups, and equality ignores them.
+        assert build_p1(layout).groups is build_pre_ifft_map(layout).groups is groups
+        ungrouped = dataclasses.replace(layout, groups=())
+        assert layout == ungrouped and hash(layout) == hash(ungrouped)
         assert [g.width for g in groups] == sorted({g.width for g in groups})
         col = 0
         for g in groups:

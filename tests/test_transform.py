@@ -50,17 +50,17 @@ def forward_vs_naive_worst(plan, x):
 
 def test_plan_fields_are_the_tables_and_maps_the_stages_read():
     fields = [f.name for f in dataclasses.fields(build_plan([4], filter_len=4, k=4))]
-    assert fields == ["layout", "m1", "groups", "twiddles", "m2", "p1", "pre_ifft", "p2"]
+    assert fields == ["layout", "m1", "twiddles", "m2", "p1", "pre_ifft", "p2"]
 
 
-def test_plan_repr_shows_the_layout_and_groups_not_the_tables():
-    text = repr(build_plan([7, 40, 1, 19], filter_len=8, k=4))
-    assert "array(" not in text
-    assert "layout=PackedLayout(n_docs=4, k=4, filter_len=8, total_cols=" in text and "groups=(WidthGroup(" in text
+def test_plan_repr_shows_the_layout_not_the_tables():
+    plan = build_plan([7, 40, 1, 19], filter_len=8, k=4)
+    assert repr(plan) == f"RubiConvPlan(layout={plan.layout!r})"
+    assert repr(plan.layout) == "PackedLayout(n_docs=4, k=4, filter_len=8, total_cols=24, total_padded=96)"
     # A thousand documents print as a summary, not as per-document tuples.
     lengths = np.random.default_rng(44).geometric(1 / 32, size=1050).tolist()
     text = repr(build_plan(lengths, filter_len=64, k=64))
-    assert "n_docs=1050" in text and len(text) <= 2000
+    assert "n_docs=1050" in text and len(text) <= 200
 
 
 def test_plan_shapes_two_docs():
@@ -726,7 +726,7 @@ def _schedule_cases(k):
 
 def _paired_taps(plan, bank):
     """The paired filter channels' taps that ``_filter_spectra`` reads."""
-    n_taps = max(g.longest for g in _filter_groups(plan.layout, plan.groups))
+    n_taps = max(g.longest for g in _filter_groups(plan.layout))
     return _as_complex_pairs(bank.taps[:n_taps])
 
 
@@ -736,7 +736,7 @@ def _four_transforms(plan, grid, taps):
     return (
         (lambda: transform_grid(plan, grid), (groups,)),
         (lambda: transform_grid(plan, grid, skip_zero_rows=True), (groups, True)),
-        (lambda: _filter_spectra(plan, taps), (_filter_groups(plan.layout, groups), True)),
+        (lambda: _filter_spectra(plan, taps), (_filter_groups(plan.layout), True)),
         (lambda: transform_grid(plan, grid, skip_unread_cols=True), (groups, False, True)),
     )
 
@@ -1080,6 +1080,9 @@ def test_plan_nbytes_counts_every_distinct_array_once():
 def test_plan_arrays_are_read_only():
     plan = build_plan([5, 9, 2], filter_len=4, k=4)
     assert not any(a.flags.writeable for a in plan_arrays(plan))
+    # No table or block array views another, so plan.nbytes sums them as they are.
+    blocks = [m.blocks for m in (plan.p1, plan.pre_ifft, plan.p2) if m.blocks is not None]
+    assert not any(isinstance(a.base, np.ndarray) for a in (plan.m1, *plan.twiddles, *plan.m2, *blocks))
     with pytest.raises(ValueError):
         plan.twiddles[0][0, 0] = 0
     with pytest.raises(ValueError):
