@@ -8,11 +8,14 @@ k x m_total grid in which document i owns m_i = L_i'/k whole columns, so no
 grid column ever mixes two documents.
 
 The buffer keeps the documents in the caller's order; the grid does not.
-Its column blocks are sorted by width m_i, stably, so documents of equal
-width keep their order and every width group is one contiguous run of
-columns, which the transform's block stage runs as a few stacked GEMMs.
-``PackedLayout.groups`` lists those runs, each with the rows and columns
-past which its documents hold only causal padding.
+Its column blocks are sorted by width m_i, then by length L_i, stably, so
+every width group is one contiguous run of columns, shortest document
+first, and documents of equal width and length keep their order.  The
+transform's block stage runs a group as a few stacked GEMMs, chunk by
+chunk, and the length order lets each chunk's k-point stage read only the
+rows its own documents fill.  ``PackedLayout.groups`` lists those runs,
+each with the rows and columns past which its documents hold only causal
+padding.
 
 Data moves between the buffer and the grid in whole blocks of k
 positions, as in Bailey's four-step FFT, with no per-position index.  The
@@ -79,11 +82,11 @@ class PackedLayout:
     padded_lengths[i] = k * ceil((L_i + min(L_i, L_F) - 1) / k), so every
     document occupies cols_per_doc[i] = padded_lengths[i] / k whole columns
     of the k x total_cols grid, starting at column col_offsets[i].  Column
-    blocks are in width order (stable in document order), while the span
-    of document i in the packed buffer starts at pos_offsets[i], in
-    document order.  ``groups`` holds the grid's width groups, in grid
-    order; they follow from the fields above, so equality and hashing
-    leave them out.
+    blocks are in width order, then length order (stable in document
+    order), while the span of document i in the packed buffer starts at
+    pos_offsets[i], in document order.  ``groups`` holds the grid's width
+    groups, in grid order; they follow from the fields above, so equality
+    and hashing leave them out.
     """
 
     doc_lengths: tuple[int, ...]
@@ -120,6 +123,13 @@ class PackedLayout:
         counting.add_built_elements(len(blocks))
         blocks.flags.writeable = False
         return blocks
+
+    @functools.cached_property
+    def _grid_lengths(self) -> np.ndarray:
+        """Document lengths in grid order, read-only: each width group's, shortest first."""
+        lengths = np.asarray(self.doc_lengths, dtype=np.int64)[np.argsort(self.col_offsets)]
+        lengths.flags.writeable = False
+        return lengths
 
     # Span protocol shared with CtLayout: where each document's padded
     # values live inside the flat packed buffer.
@@ -252,7 +262,11 @@ def _causal_spans(
 
 
 def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K) -> PackedLayout:
-    """Compute the padded/grid geometry for one packed batch."""
+    """Compute the padded/grid geometry for one packed batch.
+
+    The grid's column blocks go in width order, then length order, and
+    documents of equal width and length keep their order.
+    """
     lengths, filter_len, causal = _causal_spans(doc_lengths, filter_len)
     k = _whole(k, "grid row count k")
     if k < 1:
@@ -260,9 +274,10 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
 
     padded = tuple(k * -(-span // k) for span in causal)
     cols = tuple(p // k for p in padded)
-    # Column blocks in width order; equal widths keep document order, and
-    # each width group is a run of equal widths in that order.
-    order = np.argsort(cols, kind="stable")  # documents in grid order
+    # Column blocks in width order, then length order; equal lengths keep
+    # document order (lexsort is stable), and each width group is a run of
+    # equal widths, shortest document first.
+    order = np.lexsort((lengths, cols))  # documents in grid order
     widths = np.asarray(cols, dtype=np.int64)[order]
     firsts = np.cumsum(widths) - widths
     col_offsets = np.empty_like(firsts)

@@ -13,13 +13,13 @@ The block stage runs on an (m_total, D, k) array in which grid column c is
 one contiguous row, so each document owns contiguous rows.  The k-point
 GEMM writes that layout directly: M1 is symmetric, so grid^T @ M1 is the
 transposed product.  The twiddle is applied in place.  The grid's column
-blocks are sorted by width (see ``packing``), so all documents of width
-m_i form one contiguous (n_i, m_i, D*k) slab, and their m_i-point DFTs run
-as stacked GEMMs on views of it, with no copy in.  Each group runs all
-three stages per chunk of whole documents, of at most
-max(m_max, ceil(m_total / 16)) columns, m_max being the widest document's
-width, so the GEMM calls do not grow with the number of documents and no
-temporary is larger than one chunk.  Each chunk's block-stage result is
+blocks are sorted by width, then length (see ``packing``), so all
+documents of width m_i form one contiguous (n_i, m_i, D*k) slab, shortest
+first, and their m_i-point DFTs run as stacked GEMMs on views of it, with
+no copy in.  Each group runs all three stages per chunk of whole
+documents, of at most max(m_max, ceil(m_total / 16)) columns, m_max being
+the widest document's width, so the GEMM calls do not grow with the
+number of documents and no temporary is larger than one chunk.  Each chunk's block-stage result is
 written back, with the channels last, into the memory its documents held,
 and that array, read as (m_total, k, D), is what ``transform_grid``
 returns.  In this cell-major spectrum, frequency f = b * k + a of
@@ -88,16 +88,28 @@ reach channel 2j + 1 (and back), but only within the same document: no
 stage mixes documents.
 
 Inside the fused ``convolve`` only, both transforms skip the causal
-padding, per width group w of c_w columns (``packing.WidthGroup``).  The
-input is zero at and past each document's length L_i, and a row-major
-load puts positions t < L_i in rows r < ceil(L_i / m_i), so the forward's
-k-point stage contracts over the group's first r_w = max ceil(L_i / m_i)
-rows only.  Only times t < L_i are kept, and the inverse's output cell
-(a, b) holds time b * k + a, so its block stage computes only the first
-b_w = max ceil(L_i / k) columns of each block and writes zeros into the
-rest.  ``forward``, ``inverse``, the unfused ``convolve`` and a default
-``transform_grid`` call run the full transform, k^2 m_total +
-k * sum(m_i^2) + k m_total complex multiplications per channel.
+padding, per chunk or per width group w of c_w columns
+(``packing.WidthGroup``).  The input is zero at and past each document's
+length L_i, and a row-major load puts positions t < L_i in rows
+r < ceil(L_i / m_i), so the forward's k-point stage contracts, for a chunk
+j of c_j columns, over its first r_j = ceil(L_j / m) rows only, L_j being
+the chunk's longest document; length order keeps short documents together,
+so their chunks read few rows.  Only times t < L_i are kept, and the
+inverse's output cell (a, b) holds time b * k + a, so its block stage
+computes only the first b_w = max ceil(L_i / k) columns of each block and
+writes zeros into the rest.  A one-block group, b_w = 1, keeps only times
+a < longest_w of column 0, so its k-point stage computes only those o_w
+outputs, and its twiddle and block stage run over them alone; every other
+group keeps o_w = k.  At m = 1 the twiddles are 1 and the block DFT has
+one point, so both pruned transforms skip them, and the block stage only
+writes its input back in natural order.  The rows are bounded per chunk:
+they are zero past the bound, and a GEMM that drops zero terms returns
+the same bits, so reading a chunk's own rows gives the bits of reading
+its group's.  The outputs are bounded per group, not per chunk, since a
+GEMM whose output width changes can round differently.  ``forward``,
+``inverse``, the unfused ``convolve`` and a default ``transform_grid``
+call run the full transform, k^2 m_total + k * sum(m_i^2) + k m_total
+complex multiplications per channel.
 
 Those pruned calls also factor both DFT stages, as Bailey's six-step FFT
 does, and both take one shape.  An n-point stage, n = n1 * n2, reading
@@ -116,34 +128,41 @@ b = b1 + p * b2, its second pass runs per b1 one q-point GEMM over the
 rows b2 < ceil(keep / p) that cover the kept columns.
 An n-point stage that reads a vector's first r inputs and keeps its first
 c outputs costs r * c multiplications in one GEMM and
-n1 * r + n * ceil(c / n1) in two passes, n = n1 * n2.
+n1 * r + n * ceil(c / n1) in two passes, n = n1 * n2; two k-point passes
+keep o_w rounded up to k1 * ceil(o_w / k1) outputs.
 
 Every choice the stages make is made once, by ``_schedule``: per width
-group and transform, one run that names the group's columns, the rows its
-k-point stage reads, the block columns it keeps, k1 and p (1 for one
-GEMM) and a chunk's columns.  ``transform_grid`` and the group filters'
-transform run the runs and decide nothing, and ``convolve_cmuls`` sums
-their costs.  The schedule takes two k-point passes where they count
-fewer, so that stage costs K(r) = min(k * r, k1 * r + k * k2) per grid
-column, and two block passes wherever m factors: a group keeps at least
-half of its m columns, and then two passes always count fewer, so the
-block stage costs B(m, c) = m * (p + ceil(c / p)) per document, grid row
-and channel, or m * c where m does not factor.  An unfactored k keeps the
-one-GEMM cost.  (At k = 256, two passes pay from r = 18 rows on.)  Each
-group's filter is one document of a group of its width, so the filters'
-transform is scheduled the same way, reading r'_w = ceil(n_w / m_w) rows
-and keeping every column.  A convolution over D channels counts
-(``convolve_cmuls``)
+group and transform, one run that names the group's columns, the rows
+each chunk's k-point stage reads, the k-point outputs it keeps, the block
+columns it keeps, k1 and p (1 for one GEMM), a chunk's columns and
+whether m = 1 skips its twiddle and block DFT.  ``transform_grid`` and
+the group filters' transform run the runs and decide nothing, and
+``convolve_cmuls`` sums their costs.  The schedule takes two k-point
+passes for a group where they count fewer at its live rows r_w =
+max ceil(L_i / m) and its o_w outputs, so a grid column of that group
+whose first r rows are read costs K_w(r, o) = r * o in one GEMM or
+k1 * r + k * ceil(o / k1) in two.  (At k = 256 and o = k, two passes pay
+from r = 18 rows on.)  It takes two block passes wherever m factors: a
+group keeps at least half of its m columns, and then two passes always
+count fewer, so the block stage costs B(m, c) = m * (p + ceil(c / p)) per
+document, kept k-point output and channel, or m * c where m does not
+factor.  An unfactored k keeps the one-GEMM cost.  Each group's filter is
+one document of a group of its width, so the filters' transform is
+scheduled the same way, reading r'_w = ceil(n_w / m_w) rows and keeping
+every column.  With [m > 1] 1 for m > 1 and 0 at m = 1, and o_i and b_i
+the o_w and b_w of document i's group, a convolution over D channels
+counts (``convolve_cmuls``)
 
-    ceil(D/2) * (sum_w c_w K(r_w) + k m_total + k * sum_i B(m_i, m_i)
-                 + sum_w (m_w K(r'_w) + k m_w + k B(m_w, m_w) + k m_w)
-                 + m_total K(k) + k m_total + k * sum_i B(m_i, b_w(i))
+    ceil(D/2) * (sum_j c_j K_w(r_j, k) + k * sum_i [m_i > 1] (m_i + B(m_i, m_i))
+                 + sum_w (m_w K_w(r'_w, k) + k [m_w > 1] (m_w + B(m_w, m_w)) + k m_w)
+                 + sum_w c_w K_w(k, o_w) + sum_i [m_i > 1] o_i (m_i + B(m_i, b_i))
                  + 2 k m_total)
 
-complex multiplications: the pruned, paired forward; per group the
-filter's transform and one per filter cell for the split's A and B (see
-``split_dual_real``); the paired, pruned inverse; and per cell and paired
-channel two for the split and product, conj(z) * A + conj(r) * B.
+complex multiplications: the pruned, paired forward, summed over its
+chunks j; per group the filter's transform and one per filter cell for
+the split's A and B (see ``split_dual_real``); the paired, pruned
+inverse; and per cell and paired channel two for the split and product,
+conj(z) * A + conj(r) * B.
 """
 
 from __future__ import annotations
@@ -243,9 +262,13 @@ def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     Its three transforms' runs (``_schedule``) and the split's two per
     spectrum cell and one per filter cell, per paired channel.
     """
-    k, groups = layout.k, layout.groups
-    filters = _schedule(k, _filter_groups(layout), skip_zero_rows=True)
-    runs = _schedule(k, groups, skip_zero_rows=True) + filters + _schedule(k, groups, skip_unread_cols=True)
+    k, groups, lengths = layout.k, layout.groups, layout._grid_lengths
+    filters = _filter_groups(layout)
+    runs = (
+        _schedule(k, groups, lengths, skip_zero_rows=True)
+        + _schedule(k, filters, [g.longest for g in filters], skip_zero_rows=True)
+        + _schedule(k, groups, lengths, skip_unread_cols=True)
+    )
     split = k * (2 * layout.total_cols + sum(g.width for g in groups))
     return (channels + 1) // 2 * (sum(_run_cmuls(k, run) for run in runs) + split)
 
@@ -268,17 +291,22 @@ def transform_grid(
     The second DFT is applied to stacks of equal-width blocks, never as a
     dense matrix, so document blocks stay bit-level independent.
 
-    Two flags prune the causal padding, per width group of the layout
-    (``plan.groups``).
+    Two flags prune the causal padding, per chunk of a width group of the
+    layout (``plan.groups``) or per group.
     ``skip_zero_rows`` promises that every document's input is zero at and
-    past its length L_i: the k-point stage then reads only the group's
-    first ``live_rows`` grid rows, and the rows past them are never read.
+    past its length L_i: each chunk's k-point stage then reads only the
+    first ceil(L / m) grid rows of its longest document L, at most the
+    group's ``live_rows``, and the rows past them are never read.
     ``skip_unread_cols`` says that only outputs at times t < L_i are read:
     the block stage then computes only the group's ``live_cols`` output
-    columns and writes zeros into the rest.  Without them the transform is
-    the full padded-length DFT.  With either, the stages may run as two
-    GEMM passes, which count fewer multiplications.  ``_schedule`` makes
-    every such choice, and this runs what it returns.
+    columns and writes zeros into the rest, and in a group with
+    ``live_cols == 1`` the times a >= ``longest`` of its column (up to a
+    multiple of the k-point stage's first-pass size) are zeros too.
+    Without them the transform is the full padded-length DFT.  With
+    either, the stages may run as two GEMM passes, which count fewer
+    multiplications, and width 1 skips its twiddle and 1-point DFT, both
+    identities.  ``_schedule`` makes every such choice, and this runs what
+    it returns.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     k, m_total = plan.k, plan.layout.total_cols
@@ -286,7 +314,7 @@ def transform_grid(
         raise ValueError(f"grid leading shape {grid.shape} does not match {(k, m_total)}")
     width = int(np.prod(grid.shape[2:], dtype=np.int64))
     rows = grid.reshape(k, m_total, width)
-    runs = _schedule(k, plan.groups, skip_zero_rows, skip_unread_cols)
+    runs = _schedule(k, plan.groups, plan.layout._grid_lengths, skip_zero_rows, skip_unread_cols)
     work = np.empty((m_total, width, k), dtype=np.complex128)
     scratch = np.empty(max(run.step for run in runs) * width * k, dtype=np.complex128)
     for run, twiddle, dft in zip(runs, plan.twiddles, plan.m2):
@@ -305,62 +333,90 @@ def _group_stages(
     """
     # Both DFT stages take one shape: an optional first pass, then a
     # second, one GEMM at k1 = 1 or p = 1.  M1 is symmetric, so cells @ M1
-    # is M1 @ grid, written column-major, over the run's rows only.  The
-    # k-point stage leaves each cell's frequencies f = f1 + k1 * f2 in
-    # (f1, f2) order, and the twiddle is applied in place through a strided
-    # view of the table in that order.  The block stage writes into
-    # ``scratch`` (and ``part``), and its result goes back, in natural
-    # order, into the memory the chunk held in ``work``, with channels last,
-    # so that a cell's channels are contiguous for the stages that follow.
+    # is M1 @ grid, written column-major, over the chunk's rows only.  The
+    # k-point stage leaves each cell's first ``outputs`` frequencies
+    # f = f1 + k1 * f2 in (f1, f2) order, in the front of the chunk's
+    # memory, and the twiddle is applied in place through a strided view of
+    # the table in that order.  The block stage writes into ``scratch``
+    # (and ``part``), and its result goes back, in natural order, into the
+    # memory the chunk held in ``work``, with channels last, so that a
+    # cell's channels are contiguous for the stages that follow.
     k, width, m, k1 = m1.shape[0], work.shape[1], run.group.width, run.k1
-    counting.add_complex_muls(work.size, real_muls_each=4)  # the twiddles
-    table = twiddle.reshape(m, k // k1, k1).transpose(0, 2, 1)[:, None]
+    f2 = run.outputs // k1
+    table = twiddle.reshape(m, k // k1, k1).transpose(0, 2, 1)[:, None, :, :f2]
     part = np.empty(run.step // run.p * width * k, dtype=np.complex128) if run.p > 1 else scratch
-    for lo in range(0, len(work), run.step):
+    for lo, live in zip(range(0, len(work), run.step), run.rows):
         stack = work[lo : lo + run.step]
-        _k_stage(m1, rows[:, lo * width : (lo + len(stack)) * width], stack, run.rows, k1, scratch)
-        docs = stack.reshape(-1, m, width, k1, k // k1)
-        docs *= table
-        _block_stage(dft, docs, run.keep, run.p, scratch, part)
+        cells = stack.reshape(-1)[: len(stack) * width * run.outputs].reshape(len(stack), width, run.outputs)
+        _k_stage(m1, rows[:, lo * width : (lo + len(stack)) * width], cells, live, k1, scratch)
+        docs = cells.reshape(-1, m, width, k1, f2)
+        if not run.identity:
+            counting.add_complex_muls(docs.size, real_muls_each=4)  # the twiddles
+            docs *= table
+        _block_stage(dft, docs, stack, run.keep, run.p, run.identity, scratch, part)
 
 
 class _Run(NamedTuple):
     """One width group's stages in one transform: every choice they make."""
 
     group: WidthGroup  # its columns in the transform's grid, m per document
-    rows: int  # grid rows its k-point stage reads
+    rows: tuple[int, ...]  # grid rows each chunk's k-point stage reads, chunk by chunk
+    outputs: int  # the first k-point outputs each grid column keeps, a multiple of k1
     keep: int  # output columns its block stage keeps per document
     k1: int  # the k-point stage's first-pass size, 1 for one GEMM
     p: int  # the block stage's, 1 for one GEMM
     step: int  # columns of a chunk, whole documents
+    identity: bool  # m = 1 in a pruned transform: no twiddle and no 1-point DFT
 
 
 def _schedule(
-    k: int, groups: Sequence[WidthGroup], skip_zero_rows: bool = False, skip_unread_cols: bool = False
+    k: int,
+    groups: Sequence[WidthGroup],
+    lengths: Sequence[int],
+    skip_zero_rows: bool = False,
+    skip_unread_cols: bool = False,
 ) -> tuple[_Run, ...]:
     """One run per width group of a transform over ``groups``' grid (see ``transform_grid``'s flags).
 
-    A group's run reads its first ``live_rows`` rows with ``skip_zero_rows``
-    and all k without, and keeps its first ``live_cols`` columns with
-    ``skip_unread_cols`` and all m without.  The group filters' transform
-    is the run over ``_filter_groups`` with ``skip_zero_rows``.  With either
-    flag, the k-point stage takes two passes where ``_factors`` splits k
-    and that counts fewer multiplications, and the block stage wherever
-    ``_factors`` splits m: a run keeps at least half of m, since a document
-    of length L pads to at most 2L + k - 2 positions, and then two passes
-    always count fewer.  A chunk is as many whole documents as fit in
-    max(m_max, ceil(columns / _CHUNKS)) columns, and at most the group's.
+    ``lengths`` holds the grid's document lengths in grid order.  A chunk
+    is as many whole documents as fit in max(m_max, ceil(columns /
+    _CHUNKS)) columns, and at most the group's.  With ``skip_zero_rows``
+    each chunk's k-point stage reads the ceil(L / m) rows of its longest
+    document L, and all k without.  With ``skip_unread_cols`` a group keeps
+    its first ``live_cols`` block columns, and a group with one
+    (``live_cols == 1``) keeps only the k-point outputs a < ``longest``;
+    without, all m and all k.  The group filters' transform is the run
+    over ``_filter_groups`` with ``skip_zero_rows``.  With either flag, the
+    k-point stage takes two passes where ``_factors`` splits k and that
+    counts fewer multiplications at the group's ``live_rows`` (all k
+    without ``skip_zero_rows``), which rounds the kept outputs up to a
+    multiple of k1, and the block stage wherever ``_factors`` splits m: a
+    run keeps at least half of m, since a document of length L pads to at
+    most 2L + k - 2 positions, and then two passes always count fewer.  At
+    m = 1 the twiddles are 1 and the block DFT is one point, so either flag
+    skips both.  Every choice but the rows is made per group, from its
+    fields alone; a k-point GEMM that drops rows past a chunk's live ones
+    drops zero terms only, and returns the same bits.
     """
     pruned = skip_zero_rows or skip_unread_cols
     k1 = _factors(k, _MIN_FACTOR)[0] if pruned else 1
     chunk = max(groups[-1].width, -(-sum(g.width * g.n_docs for g in groups) // _CHUNKS))
+    ends = np.cumsum([g.n_docs for g in groups]).tolist()
     runs = []
-    for g in groups:
-        rows = g.live_rows if skip_zero_rows else k
+    for g, end in zip(groups, ends):
+        docs = min(chunk // g.width, g.n_docs)
+        if skip_zero_rows:
+            longest = np.maximum.reduceat(np.asarray(lengths[end - g.n_docs : end]), np.arange(0, g.n_docs, docs))
+            rows = tuple((-(-longest // g.width)).tolist())
+        else:
+            rows = (k,) * -(-g.n_docs // docs)
+        live = g.live_rows if skip_zero_rows else k
+        outputs = g.longest if skip_unread_cols and g.live_cols == 1 else k
+        passes = k1 if _dft_cmuls(k, k1, live, outputs) < live * outputs else 1
         keep = g.live_cols if skip_unread_cols else g.width
         p = _factors(g.width, _MIN_BLOCK_FACTOR)[0] if pruned else 1
-        passes = k1 if _dft_cmuls(k, k1, rows, k) < k * rows else 1
-        runs.append(_Run(g, rows, keep, passes, p, min(chunk // g.width, g.n_docs) * g.width))
+        outputs = passes * -(-outputs // passes)
+        runs.append(_Run(g, rows, outputs, keep, passes, p, docs * g.width, pruned and g.width == 1))
     return tuple(runs)
 
 
@@ -379,8 +435,10 @@ def _filter_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
 
 def _run_cmuls(k: int, run: _Run) -> int:
     """Complex multiplications of one run per channel: its k-point stage, twiddles and block stage."""
-    n_docs, m = run.group.n_docs, run.group.width
-    return n_docs * (m * (_dft_cmuls(k, run.k1, run.rows, k) + k) + k * _dft_cmuls(m, run.p, m, run.keep))
+    m, outputs, per_chunk = run.group.width, run.outputs, run.step // run.group.width
+    rest = 0 if run.identity else outputs * (m + _dft_cmuls(m, run.p, m, run.keep))
+    docs = [min(per_chunk, run.group.n_docs - i * per_chunk) for i in range(len(run.rows))]
+    return sum(n * (m * _dft_cmuls(k, run.k1, r, outputs) + rest) for n, r in zip(docs, run.rows))
 
 
 # convolve's pruned transforms run an n-point DFT stage as two GEMM passes
@@ -428,19 +486,20 @@ def _k_stage(m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: in
     """k-point DFT of a chunk of grid columns over its first ``live`` rows.
 
     ``x`` is the chunk's (k, columns * D) slice of the loaded grid, and
-    ``cells`` its (columns, D, k) memory in ``work``, which receives each
-    cell's frequencies f = f1 + k1 * f2 in (f1, f2) order.  With k = k1 * k2
+    ``cells``, (columns, D, outputs) memory in ``work``, receives each
+    cell's first ``outputs`` frequencies, f = f1 + k1 * f2 for f2 below
+    outputs / k1, in (f1, f2) order.  With k = k1 * k2
     and input row a = n1 * k2 + n2, w_k^(f a) = w_k^(f1 (n1 k2 + n2)) *
     w_k2^(f2 n2).  For k1 > 1 the first pass runs, per n2, the k1-point DFT
     over the n1 blocks that hold live rows, with the inner twiddle
     w_k^(f1 n2) folded in, into ``scratch``: one stacked GEMM over the
     n2 < ``rem`` that read all n1 blocks and one over the rest, which read
-    n1 - 1 (``_schedule`` takes two passes only where live > k2, so every
-    n2 reads a block).  The second runs the k2-point DFT over n2 as one
-    GEMM.  Both matrices are strided views of M1, and one GEMM over the
+    n1 - 1; a chunk's live rows may be k2 or fewer, and then that is none
+    and those n2 get zeros.  The second runs the k2-point DFT over n2 as
+    one GEMM.  Both matrices are strided views of M1, and one GEMM over the
     live rows is the second pass at k1 = 1.
     """
-    k2, n = cells.shape[-1] // k1, x.shape[1]
+    k2, f2, n = m1.shape[0] // k1, cells.shape[-1] // k1, x.shape[1]
     if k1 > 1:
         n1 = -(-live // k2)  # n1 blocks holding live rows
         rem = live - (n1 - 1) * k2  # live rows of the last one
@@ -449,22 +508,34 @@ def _k_stage(m1: np.ndarray, x: np.ndarray, cells: np.ndarray, live: int, k1: in
         # [n2, n1, f1] = w_k^((n1 k2 + n2) f1)
         inner = m1[: n1 * k2].reshape(n1, k2, -1)[:, :, :k1].transpose(1, 0, 2)
         for lo, hi, blocks in ((0, rem, n1), (rem, k2, n1 - 1)):
-            if lo < hi:
+            if lo < hi and blocks:
                 gemm(x[:blocks, lo:hi].transpose(1, 2, 0), inner[lo:hi, :blocks], out=y[lo:hi])
+            elif lo < hi:
+                y[lo:hi] = 0
         x, live = y.reshape(k2, n * k1), k2
     # [n2, f2] = w_k^(n2 k1 f2) = w_k2^(n2 f2)
-    gemm(x[:live].T, m1[: live * k1 : k1, :k2], out=cells.reshape(-1, k2))
+    gemm(x[:live].T, m1[: live * k1 : k1, :f2], out=cells.reshape(-1, f2))
 
 
 def _block_stage(
-    dft: np.ndarray, docs: np.ndarray, keep: int, p: int, scratch: np.ndarray, part: np.ndarray
+    dft: np.ndarray,
+    docs: np.ndarray,
+    stack: np.ndarray,
+    keep: int,
+    p: int,
+    identity: bool,
+    scratch: np.ndarray,
+    part: np.ndarray,
 ) -> None:
     """m-point DFTs of a chunk's documents, written back in natural order.
 
-    ``docs`` is the chunk's (n_docs, m, D, f1, f2) memory in ``work``, which
-    receives, per document, output columns b < ``keep`` as (m, f2, f1, D)
-    and zeros past them.  With p = 1 one GEMM computes the kept columns
-    into ``scratch``.  With m = p * q, input column n = n1 * q + n2 and
+    ``docs`` is the chunk's (n_docs, m, D, f1, f2) k-point outputs, at the
+    front of its memory ``stack`` in ``work``, which receives, per
+    document, output columns b < ``keep`` as (m, k2, f1, D), the first f2
+    of k2 rows computed and zeros past them, and zero columns past
+    ``keep``.  Every GEMM reads all of ``docs`` before the first write.
+    With p = 1 one GEMM computes the kept columns into ``scratch``, or with
+    ``identity`` (m = 1) a copy does.  With m = p * q, input column n = n1 * q + n2 and
     output column b = b1 + p * b2, w_m^(b n) = w_m^(b1 (n1 q + n2)) *
     w_q^(b2 n2).  The first pass runs, per n2, the p-point DFT over n1 with
     the inner twiddle w_m^(b1 n2) folded in, into ``scratch``; the second
@@ -482,11 +553,15 @@ def _block_stage(
             gemm(dft[:p, n2::q], docs.reshape(n_docs, p, q, cols)[:, :, n2], out=y[n2])
         x, scratch = y.transpose(1, 0, 2, 3), part
     out = scratch[: n_docs * b2s * cols].reshape(n_docs, b2s, cols)
-    blocks = docs.reshape(n_docs, m, f2, f1, width)
+    blocks = stack.reshape(n_docs, m, -1, f1, width)
     for b1 in range(p):
-        # [b2, n2] = w_m^(p b2 n2) = w_q^(b2 n2)
-        gemm(dft[: b2s * p : p, :q], x[:, :, b1], out=out)
-        blocks[:, b1 : b2s * p : p] = out.reshape(n_docs, b2s, width, f1, f2).transpose(0, 1, 4, 3, 2)
+        if identity:
+            out[...] = x[:, :, b1]
+        else:
+            # [b2, n2] = w_m^(p b2 n2) = w_q^(b2 n2)
+            gemm(dft[: b2s * p : p, :q], x[:, :, b1], out=out)
+        blocks[:, b1 : b2s * p : p, :f2] = out.reshape(n_docs, b2s, width, f1, f2).transpose(0, 1, 4, 3, 2)
+    blocks[:, :keep, f2:] = 0
     blocks[:, keep:] = 0
 
 
@@ -592,13 +667,14 @@ def _filter_spectra(plan: RubiConvPlan, taps: np.ndarray) -> np.ndarray:
     block of m columns per group.
     """
     k, channels = plan.k, taps.shape[1]
-    runs = _schedule(k, _filter_groups(plan.layout), skip_zero_rows=True)
+    filters = _filter_groups(plan.layout)
+    runs = _schedule(k, filters, [g.longest for g in filters], skip_zero_rows=True)
     spectra = np.empty((runs[-1].group.cols.stop, channels, k), dtype=np.complex128)
     # Each filter is one chunk of its m columns, so both buffers hold the widest.
     scratch, span = (np.empty(max(run.step for run in runs) * channels * k, dtype=np.complex128) for _ in range(2))
     for run, twiddle, dft in zip(runs, plan.twiddles, plan.m2):
         n_taps, m = run.group.longest, run.group.width
-        cells = span[: run.rows * m * channels].reshape(-1, channels)
+        cells = span[: run.rows[0] * m * channels].reshape(-1, channels)
         cells[:n_taps] = taps[:n_taps]
         cells[n_taps:] = 0
         _group_stages(run, plan.m1, twiddle, dft, span[: k * m * channels].reshape(k, -1), spectra[run.group.cols], scratch)

@@ -88,6 +88,8 @@ def test_sizes_with_a_fraction_are_rejected_and_whole_ones_accepted():
 
 
 def test_layout_invariants_random():
+    # Widths 3, 1, 3, 2, 3, 3: width order, then length, then document order.
+    assert build_layout([12, 3, 9, 5, 10, 9], 1, 4).col_offsets == (12, 0, 3, 1, 9, 6)
     rng = np.random.default_rng(0)
     for _ in range(50):
         k = int(rng.choice([1, 2, 4, 16, 256]))
@@ -102,8 +104,8 @@ def test_layout_invariants_random():
             assert padded <= 2 * length + k  # padding never more than doubles plus k
         assert layout.total_cols == sum(layout.cols_per_doc)
         assert layout.total_padded == sum(layout.padded_lengths)
-        # The blocks tile [0, total_cols) exactly once, in width order, and
-        # equal widths keep document order.
+        # The blocks tile [0, total_cols) exactly once, in width order, then
+        # length order, and equal widths and lengths keep document order.
         owner = np.full(layout.total_cols, -1)
         for doc, (off, m) in enumerate(zip(layout.col_offsets, layout.cols_per_doc)):
             assert 0 <= off and off + m <= layout.total_cols
@@ -111,9 +113,9 @@ def test_layout_invariants_random():
             owner[off : off + m] = doc
         assert np.all(owner >= 0)
         grid_order = np.argsort(layout.col_offsets)
-        widths = np.asarray(layout.cols_per_doc)[grid_order]
-        assert np.all(np.diff(widths) >= 0)
-        assert np.all((np.diff(widths) > 0) | (np.diff(grid_order) > 0))
+        keys = [(layout.cols_per_doc[i], layout.doc_lengths[i], i) for i in grid_order]
+        assert keys == sorted(keys)
+        assert np.array_equal(layout._grid_lengths, np.asarray(lengths)[grid_order])
 
 
 def test_width_groups_tile_the_grid_and_bound_each_document():

@@ -547,35 +547,93 @@ def _group_local_cols(plan):
     return [(g, c) for g in plan.groups for _ in range(g.n_docs) for c in range(g.width)]
 
 
-def _pruning_cases():
+def _zero_past_lengths(plan, grid):
+    """``grid`` with every document's positions t >= L_i zeroed, as ``skip_zero_rows`` promises.
+
+    A row-major load puts position t = r * m_i + c at cell (r, col_offsets[i] + c).
+    """
+    grid = grid.copy()
+    layout = plan.layout
+    for length, first, m in zip(layout.doc_lengths, layout.col_offsets, layout.cols_per_doc):
+        t = np.arange(plan.k)[:, None] * m + np.arange(m)
+        grid[:, first : first + m][t >= length] = 0
+    return grid
+
+
+def _chunk_rows(plan):
+    """Per grid column, the rows its chunk's k-point stage reads under ``skip_zero_rows``.
+
+    Derived from the chunk rule of ``rubiconv.transform._CHUNKS``'s notes:
+    a chunk is as many whole documents of its group as fit in
+    max(m_max, ceil(m_total / _CHUNKS)) columns, and reads the
+    ceil(L / m) rows of its longest document L.
+    """
+    chunk = max(plan.groups[-1].width, -(-plan.layout.total_cols // rubiconv.transform._CHUNKS))
+    order = np.argsort(plan.layout.col_offsets)
+    lengths = np.asarray(plan.layout.doc_lengths)[order]
+    rows, first = [], 0
+    for g in plan.groups:
+        docs = min(chunk // g.width, g.n_docs)
+        for lo in range(0, g.n_docs, docs):
+            n = min(docs, g.n_docs - lo)
+            rows += [-(-lengths[first + lo : first + lo + n].max() // g.width)] * (n * g.width)
+        first += g.n_docs
+    return np.array(rows)
+
+
+def _pruning_cases(max_docs=8):
     # k = 256 = 16 * 16 and 512 = 16 * 32 run convolve's k-point stage as
     # two GEMM passes; documents up to 3k long span several grid columns.
     rng = np.random.default_rng(17)
     for k in (1, 4, 16, 64, 256, 512):
-        lengths = random_doc_lengths(rng, max_docs=8, max_len=90 if k < 256 else 3 * k)
+        lengths = random_doc_lengths(rng, max_docs=max_docs, max_len=90 if k < 256 else 3 * k)
         plan = build_plan(lengths, filter_len=int(rng.choice([3, 200])), k=k)
         shape = (k, plan.layout.total_cols, int(rng.choice([1, 3])))
         yield plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_skip_zero_rows_never_reads_rows_past_the_live_ones():
-    for plan, grid in _pruning_cases():
+    # Each chunk reads only the rows of its own longest document, at most
+    # its group's live rows, and here some chunks read fewer.
+    below = 0
+    for plan, grid in _pruning_cases(max_docs=40):
+        rows = _chunk_rows(plan)
+        bound = np.array([g.live_rows for g, _ in _group_local_cols(plan)])
+        assert np.all(rows <= bound)
+        below += np.sum(rows < bound)
         zeroed, poisoned = grid.copy(), grid.copy()
-        for col, (group, _) in enumerate(_group_local_cols(plan)):
-            zeroed[group.live_rows :, col] = 0
-            poisoned[group.live_rows :, col] = np.nan
+        for col, live in enumerate(rows):
+            zeroed[live:, col] = 0
+            poisoned[live:, col] = np.nan
         expected = transform_grid(plan, zeroed)
         got = transform_grid(plan, poisoned, skip_zero_rows=True)
         assert np.all(np.isfinite(got))
         assert rel_err(got, expected) <= 1e-12
+    assert below > 0
 
 
 def test_skip_unread_cols_zeroes_exactly_the_columns_past_the_live_ones():
+    # Output cell (a, b) of a block holds time b * k + a.  A group keeps its
+    # first live_cols columns, and a one-block group only the times
+    # a < longest there, rounded up to k1 * ceil(longest / k1) with two
+    # k-point passes; the rest is zero.
     for plan, grid in _pruning_cases():
+        k, k1 = plan.k, _factors(plan.k, _MIN_FACTOR)[0]
         expected = transform_grid(plan, grid)
         got = transform_grid(plan, grid, skip_unread_cols=True)
-        live = np.array([c < g.live_cols for g, c in _group_local_cols(plan)])
-        assert np.all(got[~live] == 0)
+        times = np.arange(k)
+        live, computed = [], []
+        for g, c in _group_local_cols(plan):
+            if g.live_cols > 1:
+                live.append(np.full(k, c < g.live_cols))
+                computed.append(live[-1])
+            else:
+                live.append((c == 0) & (times < g.longest))
+                two_pass = _dft_cmuls(k, k1, k, g.longest) < k * g.longest
+                rounded = k1 * -(-g.longest // k1) if two_pass else g.longest
+                computed.append((c == 0) & (times < rounded))
+        live, computed = np.array(live), np.array(computed)
+        assert np.all(got[~computed] == 0)
         assert rel_err(got[live], expected[live]) <= 1e-12
 
 
@@ -609,9 +667,7 @@ def test_two_pass_stage_takes_many_columns_per_chunk_and_only_where_it_saves(mon
     few_rows, many_rows, widest = plan.groups
     assert (few_rows.width, few_rows.live_rows) == (1, 10) and many_rows.live_rows > 2 * k2
     calls = _recorded_gemm_calls(monkeypatch, plan)
-    grid = rng.standard_normal((k, plan.layout.total_cols, channels)) + 0j
-    for col, (group, _) in enumerate(_group_local_cols(plan)):
-        grid[group.live_rows :, col] = 0
+    grid = _zero_past_lengths(plan, rng.standard_normal((k, plan.layout.total_cols, channels)) + 0j)
     got = transform_grid(plan, grid, skip_zero_rows=True)
     k_stage = [b for is_k_stage, b in calls if is_k_stage]
     assert k_stage[0] == (10, k) and all(shape[0] <= k2 for shape in k_stage[1:])
@@ -652,10 +708,7 @@ def _factored_width_cases():
         for keep in (m, wide.live_cols):
             assert _dft_cmuls(m, p, m, keep) < m * keep, (m, keep)
         shape = (k, plan.layout.total_cols, 2)
-        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for col, (g, _) in enumerate(_group_local_cols(plan)):
-            grid[g.live_rows :, col] = 0
-        yield plan, grid
+        yield plan, _zero_past_lengths(plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def test_two_pass_block_stage_matches_one_gemm_under_both_flags():
@@ -686,12 +739,13 @@ def test_two_pass_block_stage_gemm_calls_stay_within_the_chunk_bounds(monkeypatc
 @pytest.mark.parametrize("k", [1, 4, 64, 256, 512])
 def test_chunk_size_never_changes_the_transform(monkeypatch, k):
     # _CHUNKS = 1 runs each width group as one chunk, and a huge _CHUNKS
-    # runs chunks of m_max columns, a document of width m_max each.
+    # runs chunks of m_max columns, a document of width m_max each.  The
+    # input is zero past each document's length, as skip_zero_rows promises.
     rng = np.random.default_rng(29)
     lengths = rng.geometric(1 / 40, size=300).tolist() + [3000]
     plan = build_plan(lengths, filter_len=8, k=k)
     shape = (k, plan.layout.total_cols, 2)
-    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    grid = _zero_past_lengths(plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     flags = (
         {},
         {"skip_zero_rows": True},
@@ -703,6 +757,86 @@ def test_chunk_size_never_changes_the_transform(monkeypatch, k):
         monkeypatch.setattr(rubiconv.transform, "_CHUNKS", chunks)
         for f, want in zip(flags, expected):
             assert rel_err(transform_grid(plan, grid, **f), want) <= 1e-14, (chunks, f)
+
+
+def test_schedule_bounds_each_chunk_by_its_own_longest_document():
+    # Documents go shortest first within a width group, so a run's chunks
+    # read non-decreasing rows, the last chunk its group's live rows.  Only
+    # the inverse's one-block groups keep fewer than k k-point outputs, and
+    # only pruned transforms skip the identity stages of width 1.
+    for plan, _ in _pruning_cases(max_docs=40):
+        k, lengths = plan.k, plan.layout._grid_lengths
+        for flags in ({}, {"skip_zero_rows": True}, {"skip_unread_cols": True}):
+            runs = _schedule(k, plan.groups, lengths, **flags)
+            cols = []
+            for run in runs:
+                g, docs = run.group, run.step // run.group.width
+                assert len(run.rows) == -(-g.n_docs // docs) and list(run.rows) == sorted(run.rows)
+                cols += [r for i, r in enumerate(run.rows) for _ in range(min(docs, g.n_docs - i * docs) * g.width)]
+                if flags.get("skip_zero_rows"):
+                    assert run.rows[-1] == g.live_rows
+                if flags.get("skip_unread_cols") and g.live_cols == 1:
+                    assert g.longest <= run.outputs < g.longest + run.k1 and run.outputs % run.k1 == 0
+                else:
+                    assert run.outputs == k
+                assert run.identity == (bool(flags) and g.width == 1)
+            want = _chunk_rows(plan) if flags.get("skip_zero_rows") else np.full(plan.layout.total_cols, k)
+            assert np.array_equal(cols, want)
+
+
+@pytest.mark.parametrize("k", [1, 4, 64, 256, 512])
+def test_per_chunk_rows_give_the_bits_of_group_level_rows(monkeypatch, k):
+    # Rows past a chunk's longest document are zero, and a GEMM that drops
+    # zero terms returns the same bits, so convolve and a pruned forward
+    # give the very bits that reading the group's live rows in every chunk
+    # gives.
+    schedule = rubiconv.transform._schedule
+
+    def group_rows(*args, **kwargs):
+        return tuple(run._replace(rows=(max(run.rows),) * len(run.rows)) for run in schedule(*args, **kwargs))
+
+    rng = np.random.default_rng(k + 50)
+    channels = 4
+    for mean, filter_len in ((max(3, k // 2), 3), (2 * k + 3, k + 1)):
+        lengths = rng.geometric(1 / mean, size=200).tolist()
+        plan = build_plan(lengths, filter_len, k)
+        runs = schedule(k, plan.groups, plan.layout._grid_lengths, skip_zero_rows=True)
+        assert k == 1 or any(min(run.rows) < max(run.rows) for run in runs)
+        sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
+        bank = FilterBank(rng.standard_normal((filter_len, channels)))
+        shape = (k, plan.layout.total_cols, 2)
+        grid = _zero_past_lengths(plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        expected = convolve(plan, sig, bank).values, transform_grid(plan, grid, skip_zero_rows=True)
+        monkeypatch.setattr(rubiconv.transform, "_schedule", group_rows)
+        got = convolve(plan, sig, bank).values, transform_grid(plan, grid, skip_zero_rows=True)
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("k", [64, 256])
+def test_counted_muls_equal_the_closed_form_with_pruned_one_block_outputs(k):
+    # Short documents make a width-1 group and a one-block group of width 2,
+    # whose inverse k-point outputs are pruned: at k = 64 in one GEMM, at
+    # k = 256 in two passes, rounded up to k1 * ceil(longest / k1).
+    # With L_F = k, a document of length L <= k pads to 2L - 1 positions.
+    rng = np.random.default_rng(k)
+    short = rng.integers(1, k // 2 + 1, size=250).tolist()
+    lengths = short + rng.integers(k // 2 + 1, k - k // 8, size=40).tolist() + [3 * k]
+    plan = build_plan(lengths, filter_len=k, k=k)
+    groups = plan.groups
+    assert groups[0].width == 1 and (groups[1].width, groups[1].live_cols) == (2, 1)
+    inverse_runs = _schedule(k, groups, plan.layout._grid_lengths, skip_unread_cols=True)
+    one_block = [run for run in inverse_runs if run.group.live_cols == 1]
+    assert len(one_block) == 2 and all(run.outputs < k for run in one_block)
+    assert {run.k1 for run in one_block} == ({16} if k == 256 else {1})
+    for channels in (1, 4):
+        sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
+        bank = FilterBank(rng.standard_normal((k, channels)))
+        with count_ops() as counts:
+            got = convolve(plan, sig, bank)
+        assert counts.complex_muls == rubiconv.transform.convolve_cmuls(plan.layout, channels)
+        expected = oracle_matrix(lengths, sig.valid_values(), bank.taps)
+        assert rel_err(got.valid_values(), expected) <= 1e-12
 
 
 def _schedule_cases(k):
@@ -719,7 +853,7 @@ def _schedule_cases(k):
         assert {64, 128} <= widths or (k, filter_len) == (1, 129)
         assert any(_factors(m, _MIN_BLOCK_FACTOR)[0] == 1 for m in widths)
         shape = (k, plan.layout.total_cols, channels)
-        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid = _zero_past_lengths(plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
         yield plan, grid, sig, FilterBank(rng.standard_normal((filter_len, channels)))
 
@@ -732,12 +866,13 @@ def _paired_taps(plan, bank):
 
 def _four_transforms(plan, grid, taps):
     """(call, ``_schedule``'s arguments after k) of the full transform and convolve's three."""
-    groups = plan.groups
+    groups, lengths = plan.groups, plan.layout._grid_lengths
+    filters = _filter_groups(plan.layout)
     return (
-        (lambda: transform_grid(plan, grid), (groups,)),
-        (lambda: transform_grid(plan, grid, skip_zero_rows=True), (groups, True)),
-        (lambda: _filter_spectra(plan, taps), (_filter_groups(plan.layout), True)),
-        (lambda: transform_grid(plan, grid, skip_unread_cols=True), (groups, False, True)),
+        (lambda: transform_grid(plan, grid), (groups, lengths)),
+        (lambda: transform_grid(plan, grid, skip_zero_rows=True), (groups, lengths, True)),
+        (lambda: _filter_spectra(plan, taps), (filters, [g.longest for g in filters], True)),
+        (lambda: transform_grid(plan, grid, skip_unread_cols=True), (groups, lengths, False, True)),
     )
 
 
@@ -758,8 +893,10 @@ def _executed_runs(monkeypatch):
 @pytest.mark.parametrize("k", [1, 4, 16, 64, 256, 512])
 def test_each_run_counts_what_the_schedule_prices_it_at(monkeypatch, k):
     # The full transform and each of convolve's three run exactly the
-    # schedule's runs, and each run counts its price, which is never above
-    # that of one GEMM per stage.
+    # schedule's runs, and each run counts its price.  Its chunks read no
+    # more rows than its group's live ones, and there its passes are never
+    # above one GEMM per stage; on these layouts they are not at the
+    # chunks' own rows either.
     for plan, grid, _, bank in _schedule_cases(k):
         for call, args in _four_transforms(plan, grid, _paired_taps(plan, bank)):
             executed = _executed_runs(monkeypatch)
@@ -768,6 +905,8 @@ def test_each_run_counts_what_the_schedule_prices_it_at(monkeypatch, k):
             assert [run for run, _, _ in executed] == list(_schedule(k, *args))
             for run, counted, channels in executed:
                 assert counted == channels * _run_cmuls(k, run)
+                grouped = run._replace(rows=(max(run.rows),) * len(run.rows))
+                assert _run_cmuls(k, run) <= _run_cmuls(k, grouped) <= _run_cmuls(k, grouped._replace(k1=1, p=1))
                 assert _run_cmuls(k, run) <= _run_cmuls(k, run._replace(k1=1, p=1))
 
 
