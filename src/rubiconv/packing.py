@@ -85,8 +85,9 @@ class PackedLayout:
     blocks are in width order, then length order (stable in document
     order), while the span of document i in the packed buffer starts at
     pos_offsets[i], in document order.  ``groups`` holds the grid's width
-    groups, in grid order; they follow from the fields above, so equality
-    and hashing leave them out.
+    groups, in grid order, and ``_grid_lengths`` the document lengths in
+    grid order; both follow from the fields above, so equality and hashing
+    leave them out.
     """
 
     doc_lengths: tuple[int, ...]
@@ -99,6 +100,7 @@ class PackedLayout:
     total_padded: int
     pos_offsets: tuple[int, ...]
     groups: tuple[WidthGroup, ...] = field(compare=False)
+    _grid_lengths: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def n_docs(self) -> int:
@@ -123,13 +125,6 @@ class PackedLayout:
         counting.add_built_elements(len(blocks))
         blocks.flags.writeable = False
         return blocks
-
-    @functools.cached_property
-    def _grid_lengths(self) -> np.ndarray:
-        """Document lengths in grid order, read-only: each width group's, shortest first."""
-        lengths = np.asarray(self.doc_lengths, dtype=np.int64)[np.argsort(self.col_offsets)]
-        lengths.flags.writeable = False
-        return lengths
 
     # Span protocol shared with CtLayout: where each document's padded
     # values live inside the flat packed buffer.
@@ -283,7 +278,8 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
     col_offsets = np.empty_like(firsts)
     col_offsets[order] = firsts
     starts = np.flatnonzero(np.diff(widths, prepend=0))
-    longest = np.maximum.reduceat(np.asarray(lengths, dtype=np.int64)[order], starts)
+    grid_lengths = np.asarray(lengths, dtype=np.int64)[order]
+    longest = np.maximum.reduceat(grid_lengths, starts)
     counts, m = np.diff(starts, append=len(order)), widths[starts]
     groups = np.column_stack((m, firsts[starts], counts, -(-longest // m), -(-longest // k), longest))
     pos_offsets = tuple(int(x) for x in np.cumsum((0,) + padded[:-1]))
@@ -298,6 +294,7 @@ def build_layout(doc_lengths: Sequence[int], filter_len: int, k: int = DEFAULT_K
         total_padded=sum(padded),
         pos_offsets=pos_offsets,
         groups=tuple(WidthGroup(*group) for group in groups.tolist()),
+        _grid_lengths=tuple(grid_lengths.tolist()),
     )
 
 

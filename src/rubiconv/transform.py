@@ -263,10 +263,9 @@ def convolve_cmuls(layout: PackedLayout, channels: int) -> int:
     spectrum cell and one per filter cell, per paired channel.
     """
     k, groups, lengths = layout.k, layout.groups, layout._grid_lengths
-    filters = _filter_groups(layout)
     runs = (
         _schedule(k, groups, lengths, skip_zero_rows=True)
-        + _schedule(k, filters, [g.longest for g in filters], skip_zero_rows=True)
+        + _filter_runs(layout)
         + _schedule(k, groups, lengths, skip_unread_cols=True)
     )
     split = k * (2 * layout.total_cols + sum(g.width for g in groups))
@@ -345,10 +344,10 @@ def _group_stages(
     f2 = run.outputs // k1
     table = twiddle.reshape(m, k // k1, k1).transpose(0, 2, 1)[:, None, :, :f2]
     part = np.empty(run.step // run.p * width * k, dtype=np.complex128) if run.p > 1 else scratch
-    for lo, live in zip(range(0, len(work), run.step), run.rows):
-        stack = work[lo : lo + run.step]
+    for (lo, n_docs), live in zip(_chunks(run.group, run.step), run.rows):
+        stack = work[lo * m : (lo + n_docs) * m]
         cells = stack.reshape(-1)[: len(stack) * width * run.outputs].reshape(len(stack), width, run.outputs)
-        _k_stage(m1, rows[:, lo * width : (lo + len(stack)) * width], cells, live, k1, scratch)
+        _k_stage(m1, rows[:, lo * m * width : (lo + n_docs) * m * width], cells, live, k1, scratch)
         docs = cells.reshape(-1, m, width, k1, f2)
         if not run.identity:
             counting.add_complex_muls(docs.size, real_muls_each=4)  # the twiddles
@@ -380,19 +379,19 @@ def _schedule(
 
     ``lengths`` holds the grid's document lengths in grid order.  A chunk
     is as many whole documents as fit in max(m_max, ceil(columns /
-    _CHUNKS)) columns, and at most the group's.  With ``skip_zero_rows``
-    each chunk's k-point stage reads the ceil(L / m) rows of its longest
-    document L, and all k without.  With ``skip_unread_cols`` a group keeps
-    its first ``live_cols`` block columns, and a group with one
-    (``live_cols == 1``) keeps only the k-point outputs a < ``longest``;
-    without, all m and all k.  The group filters' transform is the run
-    over ``_filter_groups`` with ``skip_zero_rows``.  With either flag, the
-    k-point stage takes two passes where ``_factors`` splits k and that
-    counts fewer multiplications at the group's ``live_rows`` (all k
-    without ``skip_zero_rows``), which rounds the kept outputs up to a
-    multiple of k1, and the block stage wherever ``_factors`` splits m: a
-    run keeps at least half of m, since a document of length L pads to at
-    most 2L + k - 2 positions, and then two passes always count fewer.  At
+    _CHUNKS)) columns, and at most the group's; ``_chunks`` lists them.
+    With ``skip_zero_rows`` each chunk's k-point stage reads the
+    ceil(L / m) rows of its longest document L, and all k without.  With
+    ``skip_unread_cols`` a group keeps its first ``live_cols`` block
+    columns, and a group with one (``live_cols == 1``) keeps only the
+    k-point outputs a < ``longest``; without, all m and all k.  The group
+    filters' transform is ``_filter_runs``.  With either flag, the k-point
+    stage takes two passes where ``_factors`` splits k and that counts
+    fewer multiplications at the group's ``live_rows`` (all k without
+    ``skip_zero_rows``), which rounds the kept outputs up to a multiple of
+    k1, and the block stage wherever ``_factors`` splits m: a run keeps at
+    least half of m, since a document of length L pads to at most
+    2L + k - 2 positions, and then two passes always count fewer.  At
     m = 1 the twiddles are 1 and the block DFT is one point, so either flag
     skips both.  Every choice but the rows is made per group, from its
     fields alone; a k-point GEMM that drops rows past a chunk's live ones
@@ -404,20 +403,27 @@ def _schedule(
     ends = np.cumsum([g.n_docs for g in groups]).tolist()
     runs = []
     for g, end in zip(groups, ends):
-        docs = min(chunk // g.width, g.n_docs)
+        step = min(chunk // g.width, g.n_docs) * g.width
+        starts = [lo for lo, _ in _chunks(g, step)]
         if skip_zero_rows:
-            longest = np.maximum.reduceat(np.asarray(lengths[end - g.n_docs : end]), np.arange(0, g.n_docs, docs))
+            longest = np.maximum.reduceat(np.asarray(lengths[end - g.n_docs : end]), starts)
             rows = tuple((-(-longest // g.width)).tolist())
         else:
-            rows = (k,) * -(-g.n_docs // docs)
+            rows = (k,) * len(starts)
         live = g.live_rows if skip_zero_rows else k
         outputs = g.longest if skip_unread_cols and g.live_cols == 1 else k
         passes = k1 if _dft_cmuls(k, k1, live, outputs) < live * outputs else 1
         keep = g.live_cols if skip_unread_cols else g.width
         p = _factors(g.width, _MIN_BLOCK_FACTOR)[0] if pruned else 1
         outputs = passes * -(-outputs // passes)
-        runs.append(_Run(g, rows, outputs, keep, passes, p, docs * g.width, pruned and g.width == 1))
+        runs.append(_Run(g, rows, outputs, keep, passes, p, step, pruned and g.width == 1))
     return tuple(runs)
+
+
+def _chunks(group: WidthGroup, step: int) -> list[tuple[int, int]]:
+    """(first document, documents) of each chunk of ``step`` columns of a width group, in order."""
+    docs = step // group.width
+    return [(lo, min(docs, group.n_docs - lo)) for lo in range(0, group.n_docs, docs)]
 
 
 def _filter_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
@@ -433,12 +439,21 @@ def _filter_groups(layout: PackedLayout) -> tuple[WidthGroup, ...]:
     return tuple(WidthGroup(g.width, c, 1, -(-n // g.width), -(-n // layout.k), n) for g, c, n in zip(groups, firsts, taps))
 
 
+def _filter_runs(layout: PackedLayout) -> tuple[_Run, ...]:
+    """The group filters' transform: the run over ``_filter_groups`` with ``skip_zero_rows``.
+
+    Each filter group's one document is its longest.
+    """
+    filters = _filter_groups(layout)
+    return _schedule(layout.k, filters, [g.longest for g in filters], skip_zero_rows=True)
+
+
 def _run_cmuls(k: int, run: _Run) -> int:
     """Complex multiplications of one run per channel: its k-point stage, twiddles and block stage."""
-    m, outputs, per_chunk = run.group.width, run.outputs, run.step // run.group.width
+    m, outputs = run.group.width, run.outputs
     rest = 0 if run.identity else outputs * (m + _dft_cmuls(m, run.p, m, run.keep))
-    docs = [min(per_chunk, run.group.n_docs - i * per_chunk) for i in range(len(run.rows))]
-    return sum(n * (m * _dft_cmuls(k, run.k1, r, outputs) + rest) for n, r in zip(docs, run.rows))
+    docs = [n for _, n in _chunks(run.group, run.step)]
+    return m * sum(n * _dft_cmuls(k, run.k1, r, outputs) for n, r in zip(docs, run.rows)) + run.group.n_docs * rest
 
 
 # convolve's pruned transforms run an n-point DFT stage as two GEMM passes
@@ -667,8 +682,7 @@ def _filter_spectra(plan: RubiConvPlan, taps: np.ndarray) -> np.ndarray:
     block of m columns per group.
     """
     k, channels = plan.k, taps.shape[1]
-    filters = _filter_groups(plan.layout)
-    runs = _schedule(k, filters, [g.longest for g in filters], skip_zero_rows=True)
+    runs = _filter_runs(plan.layout)
     spectra = np.empty((runs[-1].group.cols.stop, channels, k), dtype=np.complex128)
     # Each filter is one chunk of its m columns, so both buffers hold the widest.
     scratch, span = (np.empty(max(run.step for run in runs) * channels * k, dtype=np.complex128) for _ in range(2))

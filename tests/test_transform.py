@@ -28,6 +28,7 @@ from rubiconv.transform import (
     _MIN_BLOCK_FACTOR,
     _MIN_FACTOR,
     _as_complex_pairs,
+    _chunks,
     _dft_cmuls,
     _factors,
     _filter_groups,
@@ -569,14 +570,13 @@ def _chunk_rows(plan):
     ceil(L / m) rows of its longest document L.
     """
     chunk = max(plan.groups[-1].width, -(-plan.layout.total_cols // rubiconv.transform._CHUNKS))
-    order = np.argsort(plan.layout.col_offsets)
-    lengths = np.asarray(plan.layout.doc_lengths)[order]
+    lengths = plan.layout._grid_lengths
     rows, first = [], 0
     for g in plan.groups:
         docs = min(chunk // g.width, g.n_docs)
         for lo in range(0, g.n_docs, docs):
             n = min(docs, g.n_docs - lo)
-            rows += [-(-lengths[first + lo : first + lo + n].max() // g.width)] * (n * g.width)
+            rows += [-(-max(lengths[first + lo : first + lo + n]) // g.width)] * (n * g.width)
         first += g.n_docs
     return np.array(rows)
 
@@ -708,7 +708,10 @@ def _factored_width_cases():
         for keep in (m, wide.live_cols):
             assert _dft_cmuls(m, p, m, keep) < m * keep, (m, keep)
         shape = (k, plan.layout.total_cols, 2)
-        yield plan, _zero_past_lengths(plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for col, (g, _) in enumerate(_group_local_cols(plan)):
+            grid[g.live_rows :, col] = 0
+        yield plan, grid
 
 
 def test_two_pass_block_stage_matches_one_gemm_under_both_flags():
@@ -739,24 +742,27 @@ def test_two_pass_block_stage_gemm_calls_stay_within_the_chunk_bounds(monkeypatc
 @pytest.mark.parametrize("k", [1, 4, 64, 256, 512])
 def test_chunk_size_never_changes_the_transform(monkeypatch, k):
     # _CHUNKS = 1 runs each width group as one chunk, and a huge _CHUNKS
-    # runs chunks of m_max columns, a document of width m_max each.  The
-    # input is zero past each document's length, as skip_zero_rows promises.
+    # runs chunks of m_max columns, a document of width m_max each.  Under
+    # skip_zero_rows the input is zero past each document's length, as the
+    # flag promises; the other flag sets read random padding rows.
     rng = np.random.default_rng(29)
     lengths = rng.geometric(1 / 40, size=300).tolist() + [3000]
     plan = build_plan(lengths, filter_len=8, k=k)
     shape = (k, plan.layout.total_cols, 2)
-    grid = _zero_past_lengths(plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    zeroed = _zero_past_lengths(plan, grid)
     flags = (
         {},
         {"skip_zero_rows": True},
         {"skip_unread_cols": True},
         {"skip_zero_rows": True, "skip_unread_cols": True},
     )
-    expected = [transform_grid(plan, grid, **f) for f in flags]
+    inputs = [zeroed if f.get("skip_zero_rows") else grid for f in flags]
+    expected = [transform_grid(plan, x, **f) for x, f in zip(inputs, flags)]
     for chunks in (1, 10**9):
         monkeypatch.setattr(rubiconv.transform, "_CHUNKS", chunks)
-        for f, want in zip(flags, expected):
-            assert rel_err(transform_grid(plan, grid, **f), want) <= 1e-14, (chunks, f)
+        for x, f, want in zip(inputs, flags, expected):
+            assert rel_err(transform_grid(plan, x, **f), want) <= 1e-14, (chunks, f)
 
 
 def test_schedule_bounds_each_chunk_by_its_own_longest_document():
@@ -770,9 +776,9 @@ def test_schedule_bounds_each_chunk_by_its_own_longest_document():
             runs = _schedule(k, plan.groups, lengths, **flags)
             cols = []
             for run in runs:
-                g, docs = run.group, run.step // run.group.width
-                assert len(run.rows) == -(-g.n_docs // docs) and list(run.rows) == sorted(run.rows)
-                cols += [r for i, r in enumerate(run.rows) for _ in range(min(docs, g.n_docs - i * docs) * g.width)]
+                g, chunks = run.group, _chunks(run.group, run.step)
+                assert len(run.rows) == len(chunks) and list(run.rows) == sorted(run.rows)
+                cols += [r for (_, n), r in zip(chunks, run.rows) for _ in range(n * g.width)]
                 if flags.get("skip_zero_rows"):
                     assert run.rows[-1] == g.live_rows
                 if flags.get("skip_unread_cols") and g.live_cols == 1:
@@ -853,7 +859,7 @@ def _schedule_cases(k):
         assert {64, 128} <= widths or (k, filter_len) == (1, 129)
         assert any(_factors(m, _MIN_BLOCK_FACTOR)[0] == 1 for m in widths)
         shape = (k, plan.layout.total_cols, channels)
-        grid = _zero_past_lengths(plan, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         sig = PackedSignal.from_documents(plan.layout, random_documents(rng, lengths, channels))
         yield plan, grid, sig, FilterBank(rng.standard_normal((filter_len, channels)))
 
@@ -865,14 +871,26 @@ def _paired_taps(plan, bank):
 
 
 def _four_transforms(plan, grid, taps):
-    """(call, ``_schedule``'s arguments after k) of the full transform and convolve's three."""
-    groups, lengths = plan.groups, plan.layout._grid_lengths
-    filters = _filter_groups(plan.layout)
+    """(call, the runs it takes) of the full transform and convolve's three.
+
+    The runs come from the module's ``_schedule`` when called, so a patched
+    one gives the patched runs.  The skip_zero_rows call reads ``grid``
+    zeroed past each document's length, as the flag promises, and the
+    others read it as it is.
+    """
+    k, groups, lengths = plan.k, plan.groups, plan.layout._grid_lengths
+    zeroed = _zero_past_lengths(plan, grid)
     return (
-        (lambda: transform_grid(plan, grid), (groups, lengths)),
-        (lambda: transform_grid(plan, grid, skip_zero_rows=True), (groups, lengths, True)),
-        (lambda: _filter_spectra(plan, taps), (filters, [g.longest for g in filters], True)),
-        (lambda: transform_grid(plan, grid, skip_unread_cols=True), (groups, lengths, False, True)),
+        (lambda: transform_grid(plan, grid), lambda: rubiconv.transform._schedule(k, groups, lengths)),
+        (
+            lambda: transform_grid(plan, zeroed, skip_zero_rows=True),
+            lambda: rubiconv.transform._schedule(k, groups, lengths, skip_zero_rows=True),
+        ),
+        (lambda: _filter_spectra(plan, taps), lambda: rubiconv.transform._filter_runs(plan.layout)),
+        (
+            lambda: transform_grid(plan, grid, skip_unread_cols=True),
+            lambda: rubiconv.transform._schedule(k, groups, lengths, skip_unread_cols=True),
+        ),
     )
 
 
@@ -898,11 +916,11 @@ def test_each_run_counts_what_the_schedule_prices_it_at(monkeypatch, k):
     # above one GEMM per stage; on these layouts they are not at the
     # chunks' own rows either.
     for plan, grid, _, bank in _schedule_cases(k):
-        for call, args in _four_transforms(plan, grid, _paired_taps(plan, bank)):
+        for call, runs in _four_transforms(plan, grid, _paired_taps(plan, bank)):
             executed = _executed_runs(monkeypatch)
             call()
             monkeypatch.undo()
-            assert [run for run, _, _ in executed] == list(_schedule(k, *args))
+            assert [run for run, _, _ in executed] == list(runs())
             for run, counted, channels in executed:
                 assert counted == channels * _run_cmuls(k, run)
                 grouped = run._replace(rows=(max(run.rows),) * len(run.rows))
@@ -926,10 +944,10 @@ def test_transforms_run_a_forced_schedule(monkeypatch, k):
         default_cmuls = rubiconv.transform.convolve_cmuls(plan.layout, sig.channels)
         default = convolve(plan, sig, bank).values
         monkeypatch.setattr(rubiconv.transform, "_schedule", one_gemm)
-        for (call, args), want in zip(transforms, expected):
+        for (call, runs), want in zip(transforms, expected):
             with count_ops() as counts:
                 got = call()
-            assert counts.complex_muls == got.shape[-1] * sum(_run_cmuls(k, run) for run in one_gemm(k, *args))
+            assert counts.complex_muls == got.shape[-1] * sum(_run_cmuls(k, run) for run in runs())
             assert rel_err(got, want) <= 1e-12
         with count_ops() as counts:
             got = convolve(plan, sig, bank).values
